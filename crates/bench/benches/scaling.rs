@@ -1,9 +1,10 @@
-//! Type-count scaling bench: the PR-4 full arena scan vs the indexed
-//! scan (feature-bitmap prefilter) vs the quantized scan (8-byte
-//! nodes) vs the coarse-to-fine clustered scan vs the thread-sharded
-//! scan, at the real 27-type bank and at replicated ~1k / ~10k /
-//! ~100k / ~1M type counts — the measured trajectory toward the
-//! ROADMAP's sub-5 ms dense probe at 10⁵ types.
+//! Type-count scaling bench: the full arena scan vs the indexed scan
+//! (feature-bitmap prefilter) vs the coarse-to-fine clustered scan vs
+//! the auto-routed production entry point, at the real 27-type bank
+//! and at replicated ~1k / ~10k / ~100k / ~1M type counts. The
+//! replicated banks are exact tilings — the cluster index's best case,
+//! not a stand-in for a catalog of distinct types (the repo benchmark's
+//! `catalog1k` workload measures that).
 //!
 //! Two probe regimes are measured, because the prefilter's value is
 //! workload-shaped:
@@ -11,14 +12,11 @@
 //! * **dense** setup fingerprints (the paper's workload): every active
 //!   feature column is populated, which intersects every forest's
 //!   tested set — the prefilter can skip nothing. This regime is where
-//!   the PR-9 numbers showed the bank going memory-bandwidth-bound
-//!   (210 MiB streamed per probe at ~100k types), and it is what the
-//!   three new layers attack: the quantized arena halves the bytes per
-//!   node, the hot-first layout packs the accept-heavy regions into
-//!   one prefix, and the clustered scan walks one representative per
-//!   duplicate-content group — which on a replicated bank collapses
-//!   the dense probe from O(types) to O(base types) + one memo read
-//!   per member.
+//!   the full scan goes memory-bandwidth-bound (210 MiB streamed per
+//!   probe at ~100k types); the clustered scan walks one
+//!   representative per duplicate-content group — which on a
+//!   replicated bank collapses the dense probe from O(types) to
+//!   O(base types) + one memo read per member.
 //! * **idle** (empty/all-default) fingerprints — devices that have
 //!   sent nothing yet, which gateways still query in every periodic
 //!   batch: the nonzero bitmap is empty, every forest is answered from
@@ -36,8 +34,7 @@ use sentinel_bench::bench_report::{measure_ns, write_bench_json};
 use sentinel_core::{CandidateScratch, ReplicatedBank, Trainer};
 use sentinel_devices::{catalog, generate_dataset, NetworkEnvironment};
 use sentinel_fingerprint::FixedFingerprint;
-use sentinel_ml::{CompiledBank, ShardScratch};
-use sentinel_pool::ComputePool;
+use sentinel_ml::CompiledBank;
 
 /// Replica multiples of the 27-type bank: ~1k, ~10k, ~100k, ~1M types.
 const REPLICAS: [usize; 4] = [37, 370, 3700, 37000];
@@ -63,42 +60,24 @@ fn skip_fraction(bank: &CompiledBank, probe: &FixedFingerprint) -> f64 {
 
 /// ns-per-query for every scan tier over one probe set.
 struct TierTimes {
-    /// Pure f32 full scan (the reference).
+    /// Full scan (the reference).
     full: f64,
-    /// Routed quantized full scan (8-byte nodes where proven).
-    quant: f64,
     /// Forced feature-bitmap prefilter.
     indexed: f64,
     /// Coarse-to-fine clustered scan (one walk per content group).
     clustered: f64,
     /// The auto-routed production entry point.
     production: f64,
-    /// Pooled sharded scan (persistent work-stealing pool).
-    pooled: f64,
-    /// Scoped sharded baseline (a spawn per shard per call).
-    scoped: f64,
 }
 
 /// Asserts every scan tier reproduces the full scan's candidate set
 /// exactly on `bank` — content *and* order — then times each tier over
-/// `probes`. The pooled rows run on `pool` (sized by the caller,
-/// independent of `SENTINEL_POOL_THREADS`, so CI's single-worker
-/// default does not skew the comparison); the scoped rows spawn a
-/// thread per shard per call — the pre-pool baseline.
-fn measure_bank(
-    bank: &CompiledBank,
-    probes: &[FixedFingerprint],
-    shards: usize,
-    pool: &ComputePool,
-) -> TierTimes {
-    let mut scratch = ShardScratch::new();
+/// `probes`.
+fn measure_bank(bank: &CompiledBank, probes: &[FixedFingerprint]) -> TierTimes {
     for probe in probes {
         let sample = probe.as_slice();
         let mut full = Vec::new();
         bank.for_each_accepting_full(sample, |i| full.push(i));
-        let mut quant = Vec::new();
-        bank.for_each_accepting_quant(sample, |i| quant.push(i));
-        assert_eq!(quant, full, "quantized scan lost or invented a candidate");
         let mut indexed = Vec::new();
         bank.for_each_accepting_indexed(sample, |i| indexed.push(i));
         assert_eq!(indexed, full, "indexed scan lost or invented a candidate");
@@ -111,12 +90,6 @@ fn measure_bank(
         let mut auto = Vec::new();
         bank.for_each_accepting(sample, |i| auto.push(i));
         assert_eq!(auto, full, "auto route lost or invented a candidate");
-        let mut pooled = Vec::new();
-        bank.for_each_accepting_pooled(pool, sample, shards, &mut scratch, |i| pooled.push(i));
-        assert_eq!(pooled, full, "pooled scan lost or invented a candidate");
-        let mut scoped = Vec::new();
-        bank.for_each_accepting_sharded_scoped(sample, shards, &mut scratch, |i| scoped.push(i));
-        assert_eq!(scoped, full, "scoped scan lost or invented a candidate");
     }
     type EmitFn<'a> = &'a dyn Fn(&[f32], &mut dyn FnMut(usize));
     let per_query = |ns_per_pass: f64| ns_per_pass / probes.len() as f64;
@@ -130,9 +103,6 @@ fn measure_bank(
     let full = per_query(measure_ns(|| {
         count(&|s, f| bank.for_each_accepting_full(s, f))
     }));
-    let quant = per_query(measure_ns(|| {
-        count(&|s, f| bank.for_each_accepting_quant(s, f))
-    }));
     let indexed = per_query(measure_ns(|| {
         count(&|s, f| bank.for_each_accepting_indexed(s, f))
     }));
@@ -140,32 +110,11 @@ fn measure_bank(
         count(&|s, f| bank.for_each_accepting_clustered(s, f))
     }));
     let production = per_query(measure_ns(|| count(&|s, f| bank.for_each_accepting(s, f))));
-    let pooled = per_query(measure_ns(|| {
-        for probe in probes {
-            let mut accepted = 0usize;
-            bank.for_each_accepting_pooled(pool, probe.as_slice(), shards, &mut scratch, |_| {
-                accepted += 1
-            });
-            std::hint::black_box(accepted);
-        }
-    }));
-    let scoped = per_query(measure_ns(|| {
-        for probe in probes {
-            let mut accepted = 0usize;
-            bank.for_each_accepting_sharded_scoped(probe.as_slice(), shards, &mut scratch, |_| {
-                accepted += 1
-            });
-            std::hint::black_box(accepted);
-        }
-    }));
     TierTimes {
         full,
-        quant,
         indexed,
         clustered,
         production,
-        pooled,
-        scoped,
     }
 }
 
@@ -174,7 +123,6 @@ fn main() {
     let profiles = catalog::standard_catalog();
     let dataset = generate_dataset(&profiles, &env, 10, 1);
     let identifier = Trainer::default().train(&dataset, 7).expect("training");
-    let shards = std::thread::available_parallelism().map_or(4, |p| p.get());
 
     let probes: Vec<FixedFingerprint> = (0..4)
         .map(|i| dataset.sample(i * 10).fingerprint().to_fixed())
@@ -183,10 +131,6 @@ fn main() {
 
     let stats = identifier.bank_stats();
     assert!(stats.indexed, "trained banks must be indexed");
-    assert_eq!(
-        stats.quantized_forests, stats.forests,
-        "trained banks must quantize every forest (bit-exact codebooks)"
-    );
     let (cols_min, cols_max) = {
         let rows = identifier.compiled_bank().index().rows();
         let min = rows
@@ -202,12 +146,11 @@ fn main() {
         (min, max)
     };
     println!(
-        "bank: {} types, {} nodes ({} quantized forests, {} cluster groups), \
-         {} KiB arena, prefilter on {} stripes (forests test \
-         {cols_min}–{cols_max} of 23 F′ columns), {shards} scan shards",
+        "bank: {} types, {} nodes ({} cluster groups), {} KiB arena, \
+         prefilter on {} stripes (forests test {cols_min}–{cols_max} of 23 \
+         F′ columns)",
         stats.forests,
         stats.nodes,
-        stats.quantized_forests,
         stats.cluster_groups,
         stats.arena_bytes / 1024,
         stats.stripes
@@ -221,9 +164,12 @@ fn main() {
     // below the prefilter's size threshold, so it must hold the PR-4
     // sub-1.8 µs line exactly; the forced-prefilter row records what
     // the adaptive threshold is protecting that line from.
+    let bank_27 = identifier.compiled_bank();
     let full_27 = measure_ns(|| {
         for probe in &probes {
-            std::hint::black_box(identifier.classify_candidates_full(probe));
+            let mut accepted = 0usize;
+            bank_27.for_each_accepting_full(probe.as_slice(), |_| accepted += 1);
+            std::hint::black_box(accepted);
         }
     }) / probes.len() as f64;
     let mut scratch = CandidateScratch::new();
@@ -233,7 +179,6 @@ fn main() {
             std::hint::black_box(scratch.candidates());
         }
     }) / probes.len() as f64;
-    let bank_27 = identifier.compiled_bank();
     let forced_27 = measure_ns(|| {
         for probe in &probes {
             let mut accepted = 0usize;
@@ -241,26 +186,17 @@ fn main() {
             std::hint::black_box(accepted);
         }
     }) / probes.len() as f64;
-    let quant_27 = measure_ns(|| {
-        for probe in &probes {
-            let mut accepted = 0usize;
-            bank_27.for_each_accepting_quant(probe.as_slice(), |_| accepted += 1);
-            std::hint::black_box(accepted);
-        }
-    }) / probes.len() as f64;
     println!(
         "{:>8} types | full {:>10.3} µs | production {:>10.3} µs | forced \
-         prefilter {:>10.3} µs | quant {:>10.3} µs",
+         prefilter {:>10.3} µs",
         stats.forests,
         full_27 / 1e3,
         indexed_27 / 1e3,
-        forced_27 / 1e3,
-        quant_27 / 1e3
+        forced_27 / 1e3
     );
     results.push(("full_27_types".into(), full_27));
     results.push(("production_27_types".into(), indexed_27));
     results.push(("forced_prefilter_27_types".into(), forced_27));
-    results.push(("quant_27_types".into(), quant_27));
     derived.push(("speedup_production_27_types".into(), full_27 / indexed_27));
 
     let mean_skip = probes
@@ -280,48 +216,35 @@ fn main() {
         skip_fraction(identifier.compiled_bank(), &idle_probe) * 100.0
     );
 
-    // One persistent pool for every pooled row, sized to the shard
-    // count like production sizes its pool to the machine.
-    let pool = ComputePool::new(shards);
     for replicas in REPLICAS {
         let tiled: ReplicatedBank = identifier
             .replicated_bank(replicas)
             .expect("tiling stays inside the 31-bit reference space");
         let types = tiled.type_count();
-        let dense = measure_bank(tiled.bank(), &probes, shards, &pool);
-        let idle = std::slice::from_ref(&idle_probe);
-        let idle_times = measure_bank(tiled.bank(), idle, 1, &pool);
+        let dense = measure_bank(tiled.bank(), &probes);
+        let idle_times = measure_bank(tiled.bank(), std::slice::from_ref(&idle_probe));
         println!(
-            "{types:>8} types | dense: full {:>10.3} µs, quant {:>10.3} µs, \
-             indexed {:>10.3} µs, clustered {:>8.3} µs, production {:>8.3} µs, \
-             pooled({shards}) {:>10.3} µs, scoped({shards}) {:>10.3} µs | idle: \
-             full {:>10.3} µs, indexed {:>8.3} µs | arena {} KiB",
+            "{types:>8} types | dense: full {:>10.3} µs, indexed {:>10.3} µs, \
+             clustered {:>8.3} µs, production {:>8.3} µs | idle: full {:>10.3} µs, \
+             indexed {:>8.3} µs, production {:>8.3} µs | arena {} KiB",
             dense.full / 1e3,
-            dense.quant / 1e3,
             dense.indexed / 1e3,
             dense.clustered / 1e3,
             dense.production / 1e3,
-            dense.pooled / 1e3,
-            dense.scoped / 1e3,
             idle_times.full / 1e3,
             idle_times.indexed / 1e3,
+            idle_times.production / 1e3,
             tiled.bank().arena_bytes() / 1024
         );
         let label = |kind: &str| format!("{kind}_{types}_types_replicated");
         results.push((label("full"), dense.full));
-        results.push((label("quant"), dense.quant));
         results.push((label("indexed"), dense.indexed));
         results.push((label("clustered"), dense.clustered));
         results.push((label("production"), dense.production));
-        results.push((label("sharded"), dense.pooled));
-        results.push((label("sharded_scoped"), dense.scoped));
         results.push((label("full_idle"), idle_times.full));
         results.push((label("indexed_idle"), idle_times.indexed));
         results.push((label("clustered_idle"), idle_times.clustered));
-        derived.push((
-            format!("speedup_quant_{types}_types"),
-            dense.full / dense.quant,
-        ));
+        results.push((label("production_idle"), idle_times.production));
         derived.push((
             format!("speedup_indexed_{types}_types"),
             dense.full / dense.indexed,
@@ -333,14 +256,6 @@ fn main() {
         derived.push((
             format!("speedup_production_{types}_types"),
             dense.full / dense.production,
-        ));
-        derived.push((
-            format!("speedup_sharded_{types}_types"),
-            dense.full / dense.pooled,
-        ));
-        derived.push((
-            format!("speedup_pooled_vs_scoped_{types}_types"),
-            dense.scoped / dense.pooled,
         ));
         derived.push((
             format!("speedup_indexed_idle_{types}_types"),

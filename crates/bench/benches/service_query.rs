@@ -41,27 +41,6 @@ fn bench_service_query(c: &mut Criterion) {
     }
     group.finish();
 
-    // Sequential vs parallel chunk fan-out on the same large batch:
-    // workers=1 is the old single-threaded chunk loop, the other rows
-    // spread chunks across scoped worker threads.
-    let mut group = c.benchmark_group("service_handle_batch_workers");
-    let parallelism = std::thread::available_parallelism().map_or(4, usize::from);
-    let mut worker_counts = vec![1usize, 2, 4];
-    if !worker_counts.contains(&parallelism) {
-        worker_counts.push(parallelism);
-    }
-    for workers in worker_counts {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(workers),
-            &workers,
-            |b, &workers| {
-                let slice = &probes[..256];
-                b.iter(|| service.handle_batch_with(black_box(slice), workers))
-            },
-        );
-    }
-    group.finish();
-
     // Response assembly alone: identification already done, measure
     // assessment + response construction. This is the stage the
     // TypeId/IsolationClass redesign made allocation-free.

@@ -54,7 +54,7 @@ pub struct ServiceCell {
     /// Successful swaps since the cell was created.
     reloads: AtomicU64,
     /// The compute pool every parallel path of this service runs on:
-    /// batch chunks, sharded span scans, background recompiles. Sized
+    /// batch chunks and background recompiles. Sized
     /// once when the cell is built and **kept across epoch swaps** —
     /// a hot reload republishes models against the same pinned
     /// workers, so reloading never churns threads.
@@ -425,7 +425,8 @@ mod tests {
             .map(|i| fp_bits(0b001, &[100 + (i as u32 % 5), 110, 120]))
             .collect();
         let pooled = pinned.handle_batch_on(cell.pool(), &probes);
-        assert_eq!(pooled, pinned.handle_batch_with(&probes, 1));
+        let sequential: Vec<_> = probes.iter().map(|fp| pinned.handle(fp)).collect();
+        assert_eq!(pooled, sequential);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use sentinel_editdist::dissimilarity_over;
 use sentinel_fingerprint::{Dataset, Fingerprint, FixedFingerprint, FixedScratch, FEATURE_COUNT};
-use sentinel_ml::{CompiledBank, CompiledBankBuilder, ScanSnapshot, ShardScratch};
+use sentinel_ml::{CompiledBank, CompiledBankBuilder, ScanSnapshot};
 
 use crate::classifier::TypeClassifier;
 use crate::error::CoreError;
@@ -109,30 +109,6 @@ impl CandidateScratch {
     }
 }
 
-/// Reusable workspace for the thread-sharded stage-one scan: the
-/// per-shard candidate lanes plus the merged candidate list. Warm
-/// [`DeviceTypeIdentifier::classify_candidates_sharded_into`] calls
-/// reuse all buffers.
-#[derive(Debug, Clone, Default)]
-pub struct ShardedScratch {
-    lanes: ShardScratch,
-    candidates: Vec<TypeId>,
-}
-
-impl ShardedScratch {
-    /// An empty scratch; buffers grow on first use and are reused.
-    pub fn new() -> Self {
-        ShardedScratch::default()
-    }
-
-    /// The candidate ids produced by the most recent
-    /// [`DeviceTypeIdentifier::classify_candidates_sharded_into`]
-    /// call, in classifier (id) order.
-    pub fn candidates(&self) -> &[TypeId] {
-        &self.candidates
-    }
-}
-
 /// Shape and acceleration statistics of a compiled classifier bank
 /// (see [`DeviceTypeIdentifier::bank_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,9 +124,6 @@ pub struct BankStats {
     /// Stripe lanes the prefilter folds F′ dimensions into (23 for
     /// banks compiled by this crate: the per-packet feature columns).
     pub stripes: u32,
-    /// Forests proven decision-identical under 8-byte threshold
-    /// quantization (the rest escalate to the retained f32 arena).
-    pub quantized_forests: usize,
     /// Duplicate-content cluster groups (one representative walk
     /// answers every member); equals `forests` when every type is
     /// distinct.
@@ -565,63 +538,6 @@ impl DeviceTypeIdentifier {
         self.classify_into(fixed, &mut scratch.candidates);
     }
 
-    /// Stage one through the compiled bank **without** the
-    /// feature-usage prefilter: every forest is walked. The PR-4 full
-    /// scan, kept for A/B benchmarks against the indexed path.
-    pub fn classify_candidates_full(&self, fixed: &FixedFingerprint) -> Vec<TypeId> {
-        let mut out = Vec::new();
-        let ids = &self.compiled_ids;
-        self.compiled
-            .for_each_accepting_full(fixed.as_slice(), |index| out.push(ids[index]));
-        out
-    }
-
-    /// Stage one across `shards` span ranges on the global compute
-    /// pool: each range is scanned (prefilter included) by a pool
-    /// task, and the per-shard candidate lanes are merged in shard
-    /// order — the result is **bit-identical** to
-    /// [`DeviceTypeIdentifier::classify_candidates`], including order.
-    /// Banks under the pool hand-off break-even run inline on the
-    /// caller instead (`sentinel_ml::SHARDED_MIN_FORESTS`). Allocates
-    /// the returned `Vec` (and a per-call scratch); hot-path callers
-    /// should prefer
-    /// [`DeviceTypeIdentifier::classify_candidates_sharded_into`].
-    pub fn classify_candidates_sharded(
-        &self,
-        fixed: &FixedFingerprint,
-        shards: usize,
-    ) -> Vec<TypeId> {
-        let mut scratch = ShardedScratch::new();
-        self.classify_candidates_sharded_into(fixed, shards, &mut scratch);
-        std::mem::take(&mut scratch.candidates)
-    }
-
-    /// [`DeviceTypeIdentifier::classify_candidates_sharded`] against a
-    /// caller-owned scratch: the per-shard lanes and the candidate
-    /// list reuse `scratch`'s buffers (read the result back via
-    /// [`ShardedScratch::candidates`]). Warm calls allocate nothing
-    /// and spawn nothing, inline or pooled.
-    pub fn classify_candidates_sharded_into(
-        &self,
-        fixed: &FixedFingerprint,
-        shards: usize,
-        scratch: &mut ShardedScratch,
-    ) {
-        debug_assert_eq!(
-            self.compiled_ids.len(),
-            self.models.len(),
-            "compiled bank out of sync with models — a mutation path \
-             forgot to call rebuild_compiled()"
-        );
-        let ShardedScratch { lanes, candidates } = scratch;
-        candidates.clear();
-        let ids = &self.compiled_ids;
-        self.compiled
-            .for_each_accepting_sharded(fixed.as_slice(), shards, lanes, |index| {
-                candidates.push(ids[index])
-            });
-    }
-
     /// Shape and acceleration statistics of the compiled bank serving
     /// this identifier's stage one.
     pub fn bank_stats(&self) -> BankStats {
@@ -631,21 +547,9 @@ impl DeviceTypeIdentifier {
             arena_bytes: self.compiled.arena_bytes(),
             indexed: self.compiled.is_indexed(),
             stripes: self.compiled.index().stripes(),
-            quantized_forests: self.compiled.quantized_forest_count(),
             cluster_groups: self.compiled.clusters().group_count(),
             scan: self.compiled.scan_counters(),
         }
-    }
-
-    /// Physically relocates the compiled bank's node regions
-    /// most-accepted-first, guided by the accept tallies recorded by
-    /// every scan since the bank was built. Purely a layout change —
-    /// candidate sets, their order, and every verdict are bit-identical
-    /// before and after — but dense probes walk the hot forests as one
-    /// contiguous prefix of the arena instead of scattered regions.
-    /// Incremental appends keep working afterwards.
-    pub fn optimize_bank_layout(&mut self) {
-        self.compiled = self.compiled.rebuilt_hot_first();
     }
 
     /// Tiles this identifier's compiled bank `replicas` times for
@@ -768,48 +672,8 @@ impl DeviceTypeIdentifier {
         self.stage_two(fingerprint, candidates, scores)
     }
 
-    /// [`DeviceTypeIdentifier::identify_with`] with stage one fanned
-    /// out across `pool` via the pooled sharded scan (`shards` span
-    /// ranges, candidate order bit-identical to the serial scan).
-    /// Stage two is shared with the serial path, so the outcome is
-    /// exactly [`DeviceTypeIdentifier::identify`]'s — this is the
-    /// large-bank query path, and the inner half of the nested
-    /// batch×shard fan-out: called from a task already on `pool`, the
-    /// scan's sub-tasks ride the same workers through work-stealing
-    /// instead of spawning. Warm calls allocate nothing and spawn
-    /// nothing.
-    pub fn identify_sharded_on(
-        &self,
-        pool: &sentinel_pool::ComputePool,
-        fingerprint: &Fingerprint,
-        shards: usize,
-        scratch: &mut CandidateScratch,
-        lanes: &mut ShardScratch,
-    ) -> Identification {
-        debug_assert_eq!(
-            self.compiled_ids.len(),
-            self.models.len(),
-            "compiled bank out of sync with models — a mutation path \
-             forgot to call rebuild_compiled()"
-        );
-        let CandidateScratch {
-            fixed,
-            candidates,
-            scores,
-        } = scratch;
-        scores.clear();
-        let fx = fixed.fill(fingerprint, self.config.fixed_prefix_len);
-        candidates.clear();
-        let ids = &self.compiled_ids;
-        self.compiled
-            .for_each_accepting_pooled(pool, fx.as_slice(), shards, lanes, |index| {
-                candidates.push(ids[index])
-            });
-        self.stage_two(fingerprint, candidates, scores)
-    }
-
-    /// The stage-two tail shared by every identify variant: resolve
-    /// the accepted candidate set to an [`Identification`], running
+    /// The stage-two tail of [`DeviceTypeIdentifier::identify_with`]:
+    /// resolve the accepted candidate set to an [`Identification`], running
     /// edit-distance discrimination only when more than one classifier
     /// accepted. `scores` must arrive cleared.
     fn stage_two(
@@ -1090,24 +954,26 @@ mod tests {
         assert!(id.classify_candidates_interpreted(&wrong).is_empty());
     }
 
-    /// Every stage-one entry point — indexed, full scan, sharded at
-    /// several widths, caller-scratch — must agree with the
-    /// interpreter bit for bit.
+    /// Every stage-one entry point — auto-routed, caller-scratch, and
+    /// the bank's forced full / prefiltered / clustered tiers — must
+    /// agree with the interpreter bit for bit.
     fn assert_all_scans_agree(id: &DeviceTypeIdentifier, probe: &Fingerprint) {
         let fixed = probe.to_fixed_with(id.config().fixed_prefix_len);
         let interpreted = id.classify_candidates_interpreted(&fixed);
         assert_eq!(id.classify_candidates(&fixed), interpreted);
-        assert_eq!(id.classify_candidates_full(&fixed), interpreted);
-        let mut scratch = ShardedScratch::new();
-        for shards in [1usize, 2, 3, 8] {
-            assert_eq!(
-                id.classify_candidates_sharded(&fixed, shards),
-                interpreted,
-                "sharded({shards}) diverged on {probe:?}"
-            );
-            id.classify_candidates_sharded_into(&fixed, shards, &mut scratch);
-            assert_eq!(scratch.candidates(), interpreted.as_slice());
-        }
+        let mut scratch = CandidateScratch::new();
+        id.classify_candidates_into(&fixed, &mut scratch);
+        assert_eq!(scratch.candidates(), interpreted.as_slice());
+        let (bank, ids) = (id.compiled_bank(), &id.compiled_ids);
+        let mut full = Vec::new();
+        bank.for_each_accepting_full(fixed.as_slice(), |i| full.push(ids[i]));
+        assert_eq!(full, interpreted, "full scan diverged on {probe:?}");
+        let mut indexed = Vec::new();
+        bank.for_each_accepting_indexed(fixed.as_slice(), |i| indexed.push(ids[i]));
+        assert_eq!(indexed, interpreted, "prefiltered diverged on {probe:?}");
+        let mut clustered = Vec::new();
+        bank.for_each_accepting_clustered(fixed.as_slice(), |i| clustered.push(ids[i]));
+        assert_eq!(clustered, interpreted, "clustered diverged on {probe:?}");
     }
 
     #[test]
@@ -1117,6 +983,10 @@ mod tests {
         assert!(stats_before.indexed);
         assert_eq!(stats_before.stripes, 23);
         assert_eq!(stats_before.forests, 3);
+        assert_eq!(
+            stats_before.cluster_groups, stats_before.forests,
+            "distinct types compile to distinct cluster groups"
+        );
         // Two incremental additions ride the append fast path (fresh
         // labels, ascending ids).
         for (label, base) in [("TypeD", 3000u32), ("TypeE", 4000)] {
@@ -1137,45 +1007,6 @@ mod tests {
         assert_eq!(stats_after.forests, 5);
         assert!(stats_after.indexed, "appends keep the index usable");
         assert!(stats_after.nodes >= stats_before.nodes);
-    }
-
-    #[test]
-    fn hot_first_layout_and_quantization_keep_scans_identical() {
-        let mut id = trained();
-        let stats = id.bank_stats();
-        // Training thresholds are f32 midpoints stored bit-exactly —
-        // every forest quantizes with a build-time proof — and
-        // distinct types compile to distinct cluster groups.
-        assert_eq!(stats.quantized_forests, stats.forests);
-        assert_eq!(stats.cluster_groups, stats.forests);
-        let probes = [
-            fp(&[104, 110, 120, 130]),
-            fp(&[505, 510, 520, 530]),
-            fp(&[905, 910, 920, 930]),
-            fp(&[1, 2, 3]),
-        ];
-        // Warm the accept tallies, then relocate hottest-first.
-        for probe in &probes {
-            assert_all_scans_agree(&id, probe);
-        }
-        id.optimize_bank_layout();
-        let after = id.bank_stats();
-        assert_eq!(after.forests, stats.forests);
-        assert_eq!(after.nodes, stats.nodes);
-        assert_eq!(after.quantized_forests, stats.quantized_forests);
-        for probe in &probes {
-            assert_all_scans_agree(&id, probe);
-        }
-        // Appends still ride the incremental path after relocation.
-        let fps: Vec<Fingerprint> = (0..10).map(|i| fp(&[8000 + i, 8010, 8020])).collect();
-        id.add_device_type("PostLayout", &fps, 13).unwrap();
-        let grown = id.bank_stats();
-        assert_eq!(grown.forests, stats.forests + 1);
-        assert_eq!(grown.quantized_forests, grown.forests);
-        let extra = fp(&[8004, 8010, 8020]);
-        for probe in probes.iter().chain(std::iter::once(&extra)) {
-            assert_all_scans_agree(&id, probe);
-        }
     }
 
     #[test]

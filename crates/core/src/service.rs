@@ -18,10 +18,9 @@ use std::cell::RefCell;
 use std::sync::{Mutex, MutexGuard};
 
 use sentinel_fingerprint::Fingerprint;
-use sentinel_ml::ShardScratch;
 use sentinel_pool::ComputePool;
 
-use crate::identifier::{CandidateScratch, DeviceTypeIdentifier, Identification};
+use crate::identifier::{DeviceTypeIdentifier, Identification};
 use crate::isolation::{IsolationClass, IsolationLevel};
 use crate::registry::{TypeId, TypeRegistry};
 use crate::vulnerability::VulnerabilityDatabase;
@@ -120,16 +119,6 @@ impl IoTSecurityService {
         self.identifier.bank_stats()
     }
 
-    /// Relocates the compiled bank's node regions most-accepted-first
-    /// using the accept tallies accrued by served queries — a pure
-    /// layout optimization (every verdict stays bit-identical) that an
-    /// operator runs during a quiet period once the workload's hot set
-    /// has shown itself. See
-    /// [`DeviceTypeIdentifier::optimize_bank_layout`].
-    pub fn optimize_bank_layout(&mut self) {
-        self.identifier.optimize_bank_layout()
-    }
-
     /// The vulnerability database.
     pub fn vulnerabilities(&self) -> &VulnerabilityDatabase {
         &self.vulnerabilities
@@ -191,47 +180,6 @@ impl IoTSecurityService {
     /// calling thread. No call here ever spawns a thread. Use
     /// [`Self::handle_batch_on`] to pick the pool.
     pub fn handle_batch(&self, fingerprints: &[Fingerprint]) -> Vec<ServiceResponse> {
-        self.handle_batch_with(
-            fingerprints,
-            Self::default_batch_workers(fingerprints.len()),
-        )
-    }
-
-    /// The worker count [`Self::handle_batch`] picks for a batch of
-    /// `len` fingerprints: 1 for anything that fits a single
-    /// [`BATCH_CHUNK`], otherwise one worker per chunk up to the
-    /// machine's available parallelism.
-    pub fn default_batch_workers(len: usize) -> usize {
-        if len <= BATCH_CHUNK {
-            return 1;
-        }
-        let chunks = len.div_ceil(BATCH_CHUNK);
-        std::thread::available_parallelism()
-            .map_or(1, usize::from)
-            .min(chunks)
-    }
-
-    /// Handles a batch with an explicit worker-count cap, producing
-    /// one response per fingerprint in order.
-    ///
-    /// `workers <= 1` processes the batch sequentially on the calling
-    /// thread; anything larger routes the batch through the global
-    /// compute pool ([`Self::handle_batch_on`]), whose fixed worker
-    /// set — not this argument — bounds the parallelism. The
-    /// parameter survives as the sequential/parallel switch so
-    /// existing callers keep their pinned-sequential behaviour.
-    pub fn handle_batch_with(
-        &self,
-        fingerprints: &[Fingerprint],
-        workers: usize,
-    ) -> Vec<ServiceResponse> {
-        if workers <= 1 || fingerprints.len() <= BATCH_CHUNK {
-            let mut responses = Vec::with_capacity(fingerprints.len());
-            for chunk in fingerprints.chunks(BATCH_CHUNK) {
-                responses.extend(chunk.iter().map(|fp| self.handle(fp)));
-            }
-            return responses;
-        }
         self.handle_batch_on(sentinel_pool::global(), fingerprints)
     }
 
@@ -290,74 +238,6 @@ impl IoTSecurityService {
             }
         });
     }
-
-    /// The nested fan-out path: batch chunks run as tasks on `pool`,
-    /// and *inside* each chunk every fingerprint's stage-one scan
-    /// fans out again over `shards` span ranges — on the **same**
-    /// pool, via work-stealing
-    /// ([`DeviceTypeIdentifier::identify_sharded_on`]). Total live
-    /// compute threads stay exactly the pool size however large the
-    /// batch×shard product gets; the pre-pool implementation spawned
-    /// scoped threads at both layers and oversubscribed the machine.
-    ///
-    /// Responses are bit-identical to [`Self::handle_batch`] because
-    /// both layers merge in submission order.
-    pub fn handle_batch_sharded_on(
-        &self,
-        pool: &ComputePool,
-        fingerprints: &[Fingerprint],
-        shards: usize,
-    ) -> Vec<ServiceResponse> {
-        thread_local! {
-            static SHARDED_QUERY_SCRATCH: RefCell<(CandidateScratch, ShardScratch)> =
-                RefCell::new((CandidateScratch::new(), ShardScratch::new()));
-        }
-        let mut responses = Vec::with_capacity(fingerprints.len());
-        if fingerprints.len() <= BATCH_CHUNK {
-            SHARDED_QUERY_SCRATCH.with(|scratch| {
-                let (candidates, lanes) = &mut *scratch.borrow_mut();
-                responses.extend(fingerprints.iter().map(|fp| {
-                    self.respond(
-                        &self
-                            .identifier
-                            .identify_sharded_on(pool, fp, shards, candidates, lanes),
-                    )
-                }));
-            });
-            return responses;
-        }
-        let chunks = fingerprints.len().div_ceil(BATCH_CHUNK);
-        BATCH_SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            if scratch.lanes.len() < chunks {
-                scratch.lanes.resize_with(chunks, Default::default);
-            }
-            let lanes = &scratch.lanes[..chunks];
-            let outcome = pool.for_each(chunks, |chunk| {
-                let start = chunk * BATCH_CHUNK;
-                let end = (start + BATCH_CHUNK).min(fingerprints.len());
-                let mut lane = lane_guard(&lanes[chunk]);
-                lane.clear();
-                SHARDED_QUERY_SCRATCH.with(|scratch| {
-                    let (candidates, scan_lanes) = &mut *scratch.borrow_mut();
-                    lane.extend(fingerprints[start..end].iter().map(|fp| {
-                        self.respond(
-                            &self
-                                .identifier
-                                .identify_sharded_on(pool, fp, shards, candidates, scan_lanes),
-                        )
-                    }));
-                });
-            });
-            if let Err(contained) = outcome {
-                panic!("batch worker panicked: {}", contained.message());
-            }
-            for lane in lanes {
-                responses.extend(lane_guard(lane).iter().copied());
-            }
-        });
-        responses
-    }
 }
 
 /// Locks a batch lane, recovering the guard if a panicking chunk task
@@ -367,7 +247,7 @@ fn lane_guard(lane: &Mutex<Vec<ServiceResponse>>) -> MutexGuard<'_, Vec<ServiceR
     lane.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Reusable per-chunk response lanes for the pooled batch paths. One
+/// Reusable per-chunk response lanes for the pooled batch path. One
 /// lane per chunk, each behind its own (always uncontended) `Mutex` so
 /// pool tasks — which share the job closure by reference — get
 /// exclusive lane access; lanes are merged in chunk order. Thread-local
@@ -526,45 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_matches_sequential_exactly() {
-        let svc = service();
-        // Several chunks plus a ragged tail, mixing all outcomes.
-        let probes: Vec<Fingerprint> = (0..super::BATCH_CHUNK * 3 + 17)
-            .map(|i| match i % 3 {
-                0 => fp_bits(0b0000_0011, &[103 + (i as u32 % 5), 110, 120]),
-                1 => fp_bits(0b0000_1100, &[104 + (i as u32 % 5), 110, 120]),
-                _ => fp_bits(0b1100_0000, &[105, 110, 120]),
-            })
-            .collect();
-        let sequential = svc.handle_batch_with(&probes, 1);
-        assert_eq!(sequential.len(), probes.len());
-        for workers in [2usize, 3, 4, 7, 64] {
-            assert_eq!(
-                svc.handle_batch_with(&probes, workers),
-                sequential,
-                "worker count {workers} must not change responses"
-            );
-        }
-        // The auto-sizing entry point agrees too.
-        assert_eq!(svc.handle_batch(&probes), sequential);
-    }
-
-    #[test]
-    fn default_batch_workers_stays_sequential_for_small_batches() {
-        assert_eq!(IoTSecurityService::default_batch_workers(0), 1);
-        assert_eq!(IoTSecurityService::default_batch_workers(1), 1);
-        assert_eq!(
-            IoTSecurityService::default_batch_workers(super::BATCH_CHUNK),
-            1
-        );
-        let large = IoTSecurityService::default_batch_workers(super::BATCH_CHUNK * 64);
-        assert!(large >= 1);
-        assert!(large <= 64, "never more workers than chunks");
-        // Two chunks can use at most two workers.
-        assert!(IoTSecurityService::default_batch_workers(super::BATCH_CHUNK + 1) <= 2);
-    }
-
-    #[test]
     fn pooled_batch_matches_sequential_on_any_pool_size() {
         let svc = service();
         let probes: Vec<Fingerprint> = (0..super::BATCH_CHUNK * 3 + 17)
@@ -574,7 +415,7 @@ mod tests {
                 _ => fp_bits(0b1100_0000, &[105, 110, 120]),
             })
             .collect();
-        let sequential = svc.handle_batch_with(&probes, 1);
+        let sequential: Vec<ServiceResponse> = probes.iter().map(|fp| svc.handle(fp)).collect();
         for threads in [1usize, 2, 5] {
             let pool = ComputePool::new(threads);
             assert_eq!(
@@ -588,37 +429,6 @@ mod tests {
         let mut out = vec![sequential[0]; 3];
         svc.handle_batch_into(&pool, &probes, &mut out);
         assert_eq!(out, sequential);
-    }
-
-    #[test]
-    fn nested_sharded_batch_matches_sequential_and_never_spawns() {
-        let svc = service();
-        let probes: Vec<Fingerprint> = (0..super::BATCH_CHUNK * 2 + 9)
-            .map(|i| match i % 3 {
-                0 => fp_bits(0b0000_0011, &[103 + (i as u32 % 5), 110, 120]),
-                1 => fp_bits(0b0000_1100, &[104 + (i as u32 % 5), 110, 120]),
-                _ => fp_bits(0b1100_0000, &[105, 110, 120]),
-            })
-            .collect();
-        let sequential = svc.handle_batch_with(&probes, 1);
-        let pool = ComputePool::new(2);
-        // Warm every layer once, then confirm the batch×shard product
-        // path both agrees bit-identically and reconciles its task
-        // accounting (everything submitted to this private pool ran).
-        for shards in [1usize, 2, 3] {
-            assert_eq!(
-                svc.handle_batch_sharded_on(&pool, &probes, shards),
-                sequential,
-                "shard count {shards} must not change responses"
-            );
-        }
-        let counters = pool.counters();
-        assert_eq!(counters.submitted, counters.executed);
-        // A sub-chunk batch takes the inline arm and still agrees.
-        assert_eq!(
-            svc.handle_batch_sharded_on(&pool, &probes[..5], 2),
-            sequential[..5],
-        );
     }
 
     #[test]

@@ -38,32 +38,25 @@
 //! evaluator hostile arenas.
 //!
 //! On top of the arena sit two scan accelerators (both bit-identical
-//! to the sequential full scan on builder-made banks):
+//! to the sequential full scan on builder-made banks), chosen by
+//! [`CompiledBank::for_each_accepting`] from the bank's own shape:
 //!
 //! * a **feature-usage prefilter** ([`crate::index::BankIndex`]): each
 //!   forest records which feature stripes its branch nodes test plus
 //!   its precomputed verdict on the all-default sample; a query whose
 //!   nonzero stripes miss a forest's tested set is answered from the
 //!   cached verdict without walking a tree.
-//! * a **thread-sharded scan** ([`CompiledBank::for_each_accepting_sharded`]):
-//!   disjoint [`ForestSpan`] ranges are submitted as tasks to a
-//!   persistent [`sentinel_pool::ComputePool`] (no per-call thread
-//!   spawns), scanned into per-shard lanes and merged in shard order,
-//!   so candidate order is exactly the sequential push order. Banks
-//!   below [`SHARDED_MIN_FORESTS`] route inline instead — small scans
-//!   are cheaper than any hand-off.
+//! * a **duplicate-content cluster index**
+//!   ([`crate::index::ClusterIndex`]): bit-identical compiled forests
+//!   share one group, and a scan walks one representative per group.
 
 use crate::error::MlError;
 use crate::forest::RandomForest;
 use crate::index::{BankIndex, ClusterIndex, IndexRow, MAX_STRIPES};
-use crate::quant::{
-    QuantBank, QuantNode, ThresholdCodebook, QUANT_FEATURE_MASK, QUANT_LEFT_LEAF, QUANT_LEFT_VOTE,
-};
 use crate::tree::Node;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, MutexGuard};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Tag bit marking a child reference as a leaf; bit 0 then carries the
 /// tree's positive-class vote. References without the tag are indices
@@ -74,19 +67,8 @@ pub const LEAF_BIT: u32 = 1 << 31;
 /// the feature-usage prefilter. Computing the query bitmap is a fixed
 /// ~O(sample) cost; below this many forests it is a measurable
 /// fraction of the whole scan (≈8% at 27 types) while above it it
-/// disappears (<2% at 64, ~0 at thousands). The sharded scan always
-/// consults the index — sharding only makes sense on banks far past
-/// this threshold.
+/// disappears (<2% at 64, ~0 at thousands).
 pub const PREFILTER_MIN_FORESTS: usize = 64;
-
-/// Bank size from which [`CompiledBank::for_each_accepting_sharded`]
-/// fans span-range tasks out to the compute pool. Below it the whole
-/// scan finishes in the time pool hand-off alone costs (ticket pushes,
-/// wakeups, lane merging), so small banks run inline on the caller —
-/// the same shape as [`PREFILTER_MIN_FORESTS`] gating the prefilter.
-/// Use [`CompiledBank::for_each_accepting_pooled`] to force pool
-/// execution at any size (parity tests, benchmarks).
-pub const SHARDED_MIN_FORESTS: usize = 1024;
 
 /// Bank size from which [`CompiledBank::for_each_accepting`] prefers
 /// the clustered scan (when the bank's [`ClusterIndex`] is usable and
@@ -179,59 +161,15 @@ pub struct ScanSnapshot {
     pub forests_skipped: u64,
 }
 
-/// Per-forest accept tallies: one relaxed `AtomicU32` per forest,
-/// bumped each time a scan emits that forest as a candidate. This is
-/// the signal [`CompiledBank::rebuilt_hot_first`] sorts node regions
-/// by — forests that accept often end up first in the arena, so the
-/// hot front of a scan's memory traffic is one dense prefix instead
-/// of scattered regions. Cloning a bank snapshots the tallies.
-#[derive(Debug, Default)]
-struct HeatCounters(Vec<AtomicU32>);
-
-impl Clone for HeatCounters {
-    fn clone(&self) -> Self {
-        HeatCounters(
-            self.0
-                .iter()
-                .map(|h| AtomicU32::new(h.load(Relaxed)))
-                .collect(),
-        )
-    }
-}
-
-impl HeatCounters {
-    fn zeros(n: usize) -> Self {
-        HeatCounters((0..n).map(|_| AtomicU32::new(0)).collect())
-    }
-
-    #[inline]
-    fn bump(&self, index: usize) {
-        if let Some(h) = self.0.get(index) {
-            h.fetch_add(1, Relaxed);
-        }
-    }
-
-    /// Adds one zeroed tally (the builder grows this alongside the
-    /// span table).
-    fn grow(&mut self) {
-        self.0.push(AtomicU32::new(0));
-    }
-
-    fn snapshot(&self) -> Vec<u32> {
-        self.0.iter().map(|h| h.load(Relaxed)).collect()
-    }
-}
-
 /// A bank of binary forests compiled into one flat arena.
 ///
 /// Construction goes through [`CompiledBankBuilder`]; evaluation is
 /// allocation-free and panic-free. Forests keep the order they were
 /// pushed in, so candidate sets produced by
 /// [`CompiledBank::for_each_accepting`] are ordered exactly like a
-/// sequential scan over the source forests — every accelerated layout
-/// below (quantized arena, hot-first relocation, cluster index) is a
-/// *physical* rearrangement that leaves this logical order, and every
-/// verdict, bit-identical.
+/// sequential scan over the source forests — the prefilter and the
+/// cluster index only decide *which* forests need an arena walk, never
+/// the order or the verdicts.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledBank {
     nodes: Vec<PackedNode>,
@@ -242,14 +180,10 @@ pub struct CompiledBank {
     /// Per-forest `(start, end)` bounds of the forest's region in
     /// `nodes`. Builder-made banks always carry one entry per forest;
     /// raw-parts banks carry none (and consequently cannot be
-    /// hot-first relocated or clustered).
+    /// clustered).
     regions: Vec<(u32, u32)>,
-    /// The quantized 8-byte side arena (empty = fully escalated).
-    quant: QuantBank,
     /// Duplicate-content cluster groups (empty = no clustering).
     clusters: ClusterIndex,
-    /// Per-forest accept tallies feeding the hot-first layout.
-    heat: HeatCounters,
 }
 
 impl CompiledBank {
@@ -327,21 +261,20 @@ impl CompiledBank {
         self.nodes.len()
     }
 
-    /// The packed f32 branch-node arena, in region order. Exposed so
+    /// The packed branch-node arena, in region order. Exposed so
     /// parity harnesses can harvest real split thresholds and probe
-    /// the bucket edges of the quantized representation.
+    /// one ulp either side of them.
     pub fn nodes(&self) -> &[PackedNode] {
         &self.nodes
     }
 
     /// Approximate arena footprint in bytes (nodes + roots + spans +
-    /// index rows + the quantized side arena + cluster group ids).
+    /// index rows + cluster group ids).
     pub fn arena_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<PackedNode>()
             + self.roots.len() * std::mem::size_of::<u32>()
             + self.forests.len() * std::mem::size_of::<ForestSpan>()
             + std::mem::size_of_val(self.index.rows())
-            + self.quant.arena_bytes()
             + std::mem::size_of_val(self.clusters.group_of())
     }
 
@@ -350,26 +283,9 @@ impl CompiledBank {
         &self.forests
     }
 
-    /// The quantized side arena (8-byte nodes + threshold codebook).
-    pub fn quant(&self) -> &QuantBank {
-        &self.quant
-    }
-
-    /// Forests whose quantization was proven decision-identical at
-    /// build time (the rest escalate to the retained f32 arena).
-    pub fn quantized_forest_count(&self) -> usize {
-        self.quant.quantized_forests()
-    }
-
     /// The duplicate-content cluster index.
     pub fn clusters(&self) -> &ClusterIndex {
         &self.clusters
-    }
-
-    /// Per-forest accept tallies since the bank was built (or last
-    /// tiled/relocated) — the hot-first layout signal.
-    pub fn heat(&self) -> Vec<u32> {
-        self.heat.snapshot()
     }
 
     /// Cumulative scan-traffic counters: how many queries this bank
@@ -386,36 +302,11 @@ impl CompiledBank {
     /// Early-exits once the accept count is reached or mathematically
     /// unreachable. Returns `false` for an out-of-range index, a
     /// wrong-length sample, or a corrupt arena — never panics.
-    /// Forests proven quantization-identical at build time evaluate
-    /// through the 8-byte arena; everything else walks the f32 arena
-    /// (same verdict either way — that identity is the build-time
-    /// proof, re-checked by the parity suites).
     pub fn accepts(&self, index: usize, sample: &[f32]) -> bool {
         match self.forests.get(index) {
-            Some(span) => self.forest_accepts(index, span, sample),
+            Some(span) => self.span_accepts(span, sample),
             None => false,
         }
-    }
-
-    /// Routed single-forest evaluation: the quantized arena when the
-    /// forest's quantization was proven decision-identical, the f32
-    /// arena otherwise (escalated forests, raw-parts banks).
-    #[inline]
-    fn forest_accepts(&self, index: usize, span: &ForestSpan, sample: &[f32]) -> bool {
-        if self.quant_ok(index) {
-            self.span_accepts_quant(span, sample)
-        } else {
-            self.span_accepts(span, sample)
-        }
-    }
-
-    /// Whether forest `index` may evaluate through the quantized
-    /// arena. Only the builder (and the tiling/relocation paths, which
-    /// preserve its invariants) ever sets these flags; banks without a
-    /// quantized side have no flags and escalate everything.
-    #[inline]
-    fn quant_ok(&self, index: usize) -> bool {
-        self.quant.ok.get(index).copied().unwrap_or(false)
     }
 
     /// Calls `f(index)` for every forest accepting `sample`, in push
@@ -438,9 +329,8 @@ impl CompiledBank {
     /// 3. Below that, the plain full scan — the bitmap's fixed cost
     ///    cannot pay for itself against a scan this short.
     ///
-    /// Use [`CompiledBank::for_each_accepting_indexed`] /
-    /// [`CompiledBank::for_each_accepting_clustered`] to force a tier
-    /// at any size (parity tests, benchmarks).
+    /// [`CompiledBank::for_each_accepting_full`] forces tier 3 at any
+    /// size (the parity reference).
     pub fn for_each_accepting(&self, sample: &[f32], f: impl FnMut(usize)) {
         if self.cluster_auto() {
             self.for_each_accepting_clustered(sample, f);
@@ -466,6 +356,7 @@ impl CompiledBank {
     /// suites and A/B benches drive, so prefilter semantics are
     /// exercised on banks of every size, not only past the hot path's
     /// size threshold.
+    #[doc(hidden)]
     pub fn for_each_accepting_indexed(&self, sample: &[f32], mut f: impl FnMut(usize)) {
         match self.usable_bitmap(sample) {
             Some(bitmap) => {
@@ -474,7 +365,6 @@ impl CompiledBank {
                 let mut skipped = 0u64;
                 for (index, span) in self.forests.iter().enumerate() {
                     if self.prefiltered_verdict(index, span, sample, bitmap, &mut skipped) {
-                        self.heat.bump(index);
                         f(index);
                     }
                 }
@@ -486,38 +376,22 @@ impl CompiledBank {
         }
     }
 
-    /// The unindexed, unquantized full scan: every forest is evaluated
-    /// through the 16-byte f32 arena, no prefilter consulted. The
-    /// reference everything else is compared against (parity suites,
-    /// A/B benchmarks) and the fallback for banks without a usable
-    /// index.
+    /// The unindexed full scan: every forest is walked, no prefilter
+    /// or cluster index consulted. The reference everything else is
+    /// compared against (parity suites, A/B benchmarks) and the
+    /// fallback for banks without a usable index.
     pub fn for_each_accepting_full(&self, sample: &[f32], mut f: impl FnMut(usize)) {
         self.counters.queries.fetch_add(1, Relaxed);
         for (index, span) in self.forests.iter().enumerate() {
             if self.span_accepts(span, sample) {
-                self.heat.bump(index);
-                f(index);
-            }
-        }
-    }
-
-    /// The quantized full scan: every forest is evaluated through its
-    /// routed arena (8-byte quantized where proven, f32 where
-    /// escalated), no prefilter consulted. The A/B row isolating what
-    /// halving the node bytes buys a dense probe.
-    pub fn for_each_accepting_quant(&self, sample: &[f32], mut f: impl FnMut(usize)) {
-        self.counters.queries.fetch_add(1, Relaxed);
-        for (index, span) in self.forests.iter().enumerate() {
-            if self.forest_accepts(index, span, sample) {
-                self.heat.bump(index);
                 f(index);
             }
         }
     }
 
     /// The coarse-to-fine clustered scan: evaluates one representative
-    /// per duplicate-content group (through the prefilter and the
-    /// routed arena), memoizes the verdict, and answers every member
+    /// per duplicate-content group (through the prefilter), memoizes
+    /// the verdict, and answers every member
     /// from the memo — bit-identical to the full scan because group
     /// members are bit-identical compiled forests (the builder
     /// exact-compares before grouping), so the representative's walk
@@ -527,6 +401,7 @@ impl CompiledBank {
     /// the bank has no usable cluster index (raw-parts banks). The
     /// group memo is an epoch-stamped thread-local scratch: warm calls
     /// allocate nothing.
+    #[doc(hidden)]
     pub fn for_each_accepting_clustered(&self, sample: &[f32], mut f: impl FnMut(usize)) {
         if !self.clusters.is_usable(self.forests.len()) {
             self.for_each_accepting_indexed(sample, f);
@@ -543,7 +418,6 @@ impl CompiledBank {
             memo.begin(self.clusters.group_count());
             for (index, span) in self.forests.iter().enumerate() {
                 if self.clustered_verdict(&mut memo, index, span, sample, bitmap, &mut skipped) {
-                    self.heat.bump(index);
                     f(index);
                 }
             }
@@ -591,7 +465,7 @@ impl CompiledBank {
         verdict
     }
 
-    /// Prefiltered when a bitmap is available, plain routed evaluation
+    /// Prefiltered when a bitmap is available, a plain arena walk
     /// otherwise.
     #[inline]
     fn routed_verdict(
@@ -604,176 +478,7 @@ impl CompiledBank {
     ) -> bool {
         match bitmap {
             Some(bm) => self.prefiltered_verdict(index, span, sample, bm, skipped),
-            None => self.forest_accepts(index, span, sample),
-        }
-    }
-
-    /// Calls `f(index)` for every forest accepting `sample`, fanning
-    /// disjoint span ranges out across the global compute pool —
-    /// accepted indices land in `scratch`'s per-shard lanes and are
-    /// merged in shard order, so `f` observes **exactly** the
-    /// sequential push order, bit-identical to
-    /// [`CompiledBank::for_each_accepting`].
-    ///
-    /// Banks below [`SHARDED_MIN_FORESTS`] (and degenerate shard
-    /// counts) run inline on the caller with no task submission at
-    /// all; larger banks ride [`sentinel_pool::global`]. Warm calls
-    /// are allocation-free and spawn-free either way. Use
-    /// [`CompiledBank::for_each_accepting_pooled`] to pick the pool
-    /// and force pooling regardless of size.
-    pub fn for_each_accepting_sharded(
-        &self,
-        sample: &[f32],
-        shards: usize,
-        scratch: &mut ShardScratch,
-        f: impl FnMut(usize),
-    ) {
-        let n = self.forests.len();
-        if shards <= 1 || n < SHARDED_MIN_FORESTS || n > u32::MAX as usize {
-            self.for_each_accepting(sample, f);
-            return;
-        }
-        self.for_each_accepting_pooled(sentinel_pool::global(), sample, shards, scratch, f);
-    }
-
-    /// The pooled sharded scan behind
-    /// [`CompiledBank::for_each_accepting_sharded`], with the pool
-    /// explicit and no inline-size gate (parity tests and benches
-    /// drive it on banks of every size). The prefilter is applied per
-    /// shard; the query bitmap is computed once up front.
-    ///
-    /// `shards` is clamped to `1..=forest_count`; one shard (or an
-    /// empty bank) runs inline. Lane entries are u32 forest indices;
-    /// banks that large cannot be built (roots alone exceed u32), but
-    /// a hostile span table could be — scan it serially. A panic
-    /// inside a scan task is contained by the pool and re-raised here
-    /// once all sibling shards finished, preserving the unwinding
-    /// behaviour of the old scoped-thread scan.
-    pub fn for_each_accepting_pooled(
-        &self,
-        pool: &sentinel_pool::ComputePool,
-        sample: &[f32],
-        shards: usize,
-        scratch: &mut ShardScratch,
-        mut f: impl FnMut(usize),
-    ) {
-        let n = self.forests.len();
-        let shards = shards.clamp(1, n.max(1));
-        if shards <= 1 || n > u32::MAX as usize {
-            self.for_each_accepting(sample, f);
-            return;
-        }
-        if scratch.lanes.len() < shards {
-            scratch.lanes.resize_with(shards, Default::default);
-        }
-        let bitmap = self.usable_bitmap(sample);
-        self.counters.queries.fetch_add(1, Relaxed);
-        if bitmap.is_some() {
-            self.counters.prefiltered.fetch_add(1, Relaxed);
-        }
-        let chunk = n.div_ceil(shards);
-        let lanes = &scratch.lanes[..shards];
-        let outcome = pool.for_each(shards, |shard| {
-            let start = shard * chunk;
-            let mut lane = lane_guard(&lanes[shard]);
-            self.scan_range(start..(start + chunk).min(n), sample, bitmap, &mut lane);
-        });
-        if let Err(contained) = outcome {
-            panic!("sharded scan task panicked: {}", contained.message());
-        }
-        for lane in lanes {
-            for index in lane_guard(lane).out.iter() {
-                f(*index as usize);
-            }
-        }
-    }
-
-    /// The pre-pool sharded scan, one crossbeam-scoped thread per
-    /// shard beyond the caller's. Kept as the A/B baseline for the
-    /// `scaling` bench and as an independent parity reference for the
-    /// pooled path; production code routes through
-    /// [`CompiledBank::for_each_accepting_sharded`] instead.
-    pub fn for_each_accepting_sharded_scoped(
-        &self,
-        sample: &[f32],
-        shards: usize,
-        scratch: &mut ShardScratch,
-        mut f: impl FnMut(usize),
-    ) {
-        let n = self.forests.len();
-        let shards = shards.clamp(1, n.max(1));
-        if shards <= 1 || n > u32::MAX as usize {
-            self.for_each_accepting(sample, f);
-            return;
-        }
-        if scratch.lanes.len() < shards {
-            scratch.lanes.resize_with(shards, Default::default);
-        }
-        let bitmap = self.usable_bitmap(sample);
-        self.counters.queries.fetch_add(1, Relaxed);
-        if bitmap.is_some() {
-            self.counters.prefiltered.fetch_add(1, Relaxed);
-        }
-        let chunk = n.div_ceil(shards);
-        let lanes = &scratch.lanes[..shards];
-        crossbeam::thread::scope(|s| {
-            for (i, lane) in lanes.iter().enumerate().skip(1) {
-                let start = i * chunk;
-                s.spawn(move |_| {
-                    let mut lane = lane_guard(lane);
-                    self.scan_range(start..(start + chunk).min(n), sample, bitmap, &mut lane)
-                });
-            }
-            let mut first = lane_guard(&lanes[0]);
-            self.scan_range(0..chunk.min(n), sample, bitmap, &mut first);
-        })
-        .expect("scoped scan threads do not panic");
-        for lane in lanes {
-            for index in lane_guard(lane).out.iter() {
-                f(*index as usize);
-            }
-        }
-    }
-
-    /// Scans one contiguous forest range into the lane (cleared
-    /// first) — the shard worker body. Bounds-clamped so hostile
-    /// ranges cannot index past the span table. When the bank's
-    /// cluster tier is active, the lane's own group memo is used
-    /// (reps are re-evaluated at most once per shard) — lane state,
-    /// not thread-locals, so warm allocation behaviour is owned by the
-    /// caller's [`ShardScratch`].
-    fn scan_range(
-        &self,
-        range: std::ops::Range<usize>,
-        sample: &[f32],
-        bitmap: Option<u32>,
-        lane: &mut ShardLane,
-    ) {
-        lane.out.clear();
-        let end = range.end.min(self.forests.len());
-        let start = range.start.min(end);
-        let mut skipped = 0u64;
-        if self.cluster_auto() {
-            lane.memo.begin(self.clusters.group_count());
-            for index in start..end {
-                let span = &self.forests[index];
-                if self.clustered_verdict(&mut lane.memo, index, span, sample, bitmap, &mut skipped)
-                {
-                    self.heat.bump(index);
-                    lane.out.push(index as u32);
-                }
-            }
-        } else {
-            for index in start..end {
-                let span = &self.forests[index];
-                if self.routed_verdict(index, span, sample, bitmap, &mut skipped) {
-                    self.heat.bump(index);
-                    lane.out.push(index as u32);
-                }
-            }
-        }
-        if skipped > 0 {
-            self.counters.forests_skipped.fetch_add(skipped, Relaxed);
+            None => self.span_accepts(span, sample),
         }
     }
 
@@ -815,7 +520,7 @@ impl CompiledBank {
                 }
             }
         }
-        self.forest_accepts(index, span, sample)
+        self.span_accepts(span, sample)
     }
 
     /// Full positive-vote count of forest `index` on `sample` (no
@@ -887,19 +592,9 @@ impl CompiledBank {
                     self.roots.len()
                 ))
             })?;
-        // The quantized side tiles alongside when its own tagged
-        // reference space allows; otherwise the tiled bank
-        // conservatively escalates every copy to the f32 arena (a
-        // layout decision, not an error). The cluster index always
-        // tiles: every copy is bit-identical to its source (whole
-        // regions are rebased), so copies join their source's group.
-        let tile_quant = self
-            .quant
-            .nodes
-            .len()
-            .checked_mul(times)
-            .is_some_and(|total| total < LEAF_BIT as usize)
-            && self.quant.is_parallel(self.forests.len(), self.roots.len());
+        // The cluster index always tiles: every copy is bit-identical
+        // to its source (whole regions are rebased), so copies join
+        // their source's group.
         let mut out = CompiledBank {
             nodes: Vec::with_capacity(nodes_total),
             roots: Vec::with_capacity(roots_total),
@@ -907,13 +602,8 @@ impl CompiledBank {
             index: self.index.repeat(times),
             counters: ScanCounters::default(),
             regions: Vec::with_capacity(self.regions.len() * times),
-            quant: QuantBank::default(),
             clusters: self.clusters.repeat(times),
-            heat: HeatCounters::zeros(self.forests.len() * times),
         };
-        if tile_quant {
-            out.quant.codebook = self.quant.codebook.clone();
-        }
         let tiling_offset = |count: usize, what: &str| -> Result<u32, MlError> {
             u32::try_from(count).map_err(|_| {
                 MlError::BadConfig(format!("tiled {what} offset {count} overflows u32"))
@@ -944,32 +634,6 @@ impl CompiledBank {
                     .iter()
                     .map(|(s, e)| (s + node_offset, e + node_offset)),
             );
-            if tile_quant {
-                let quant_offset = tiling_offset(copy * self.quant.nodes.len(), "quantized node")?;
-                let qshift = |reference: u32| {
-                    if reference & LEAF_BIT != 0 {
-                        reference
-                    } else {
-                        reference + quant_offset
-                    }
-                };
-                out.quant
-                    .nodes
-                    .extend(self.quant.nodes.iter().map(|n| QuantNode {
-                        right: qshift(n.right),
-                        ..*n
-                    }));
-                out.quant
-                    .roots
-                    .extend(self.quant.roots.iter().map(|r| qshift(*r)));
-                out.quant.ok.extend_from_slice(&self.quant.ok);
-                out.quant.regions.extend(
-                    self.quant
-                        .regions
-                        .iter()
-                        .map(|(s, e)| (s + quant_offset, e + quant_offset)),
-                );
-            }
         }
         Ok(out)
     }
@@ -1039,143 +703,6 @@ impl CompiledBank {
                 node.right
             };
         }
-    }
-
-    /// [`CompiledBank::span_accepts`] over the quantized arena: same
-    /// early-exit voting, roots taken from the quantized root table
-    /// (parallel to the f32 table by construction).
-    fn span_accepts_quant(&self, span: &ForestSpan, sample: &[f32]) -> bool {
-        if sample.len() != span.n_features as usize {
-            return false;
-        }
-        let needed = span.accept_votes;
-        if needed == 0 {
-            return true;
-        }
-        let start = span.roots_start as usize;
-        let Some(end) = start.checked_add(span.n_trees as usize) else {
-            return false;
-        };
-        let Some(roots) = self.quant.roots.get(start..end) else {
-            return false;
-        };
-        if u64::from(needed) > roots.len() as u64 {
-            return false;
-        }
-        let mut votes = 0u32;
-        let mut remaining = roots.len() as u32;
-        for root in roots {
-            remaining -= 1;
-            if self.walk_quant(*root, sample) {
-                votes += 1;
-                if votes >= needed {
-                    return true;
-                }
-            }
-            if votes + remaining < needed {
-                return false;
-            }
-        }
-        false
-    }
-
-    /// Walks one quantized tree: the left child is implicit at
-    /// `reference + 1` (preorder emission) or folded into the node's
-    /// flag bits when it is a leaf; thresholds dequantize through the
-    /// per-column codebook to the **exact** original bit pattern, so
-    /// every comparison decides like the f32 walk. Same checked-access
-    /// and step-budget discipline as [`CompiledBank::walk`].
-    fn walk_quant(&self, mut reference: u32, sample: &[f32]) -> bool {
-        let mut steps = self.quant.nodes.len() + 1;
-        loop {
-            if reference & LEAF_BIT != 0 {
-                return reference & 1 == 1;
-            }
-            if steps == 0 {
-                return false;
-            }
-            steps -= 1;
-            let Some(node) = self.quant.nodes.get(reference as usize) else {
-                return false;
-            };
-            let feature = node.feature();
-            let value = match sample.get(feature) {
-                Some(v) => *v,
-                None => return false,
-            };
-            let Some(threshold) = self.quant.codebook.value(feature, node.qcode) else {
-                return false;
-            };
-            reference = if value <= threshold {
-                node.left(reference)
-            } else {
-                node.right
-            };
-        }
-    }
-
-    /// The bank with node regions physically relocated
-    /// most-accepted-first, guided by the per-forest accept tallies
-    /// ([`CompiledBank::heat`]) the scans have recorded so far.
-    ///
-    /// Only the *physical placement* of f32 and quantized node regions
-    /// changes: the span, root, index, cluster and region tables all
-    /// keep logical (push) order with their references rebased, so
-    /// every scan remains bit-identical — candidates, order and
-    /// verdicts — to the bank it was built from. Appending more
-    /// forests through [`CompiledBankBuilder::from_bank`] keeps
-    /// working (new regions land after the relocated ones).
-    ///
-    /// Banks without region bookkeeping (raw parts) are returned as
-    /// unchanged clones. Accept tallies carry over, so repeated
-    /// relocation is stable under a steady workload.
-    pub fn rebuilt_hot_first(&self) -> CompiledBank {
-        let n = self.forests.len();
-        if n == 0 || self.regions.len() != n {
-            return self.clone();
-        }
-        let heat = self.heat.snapshot();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by(|a, b| {
-            let (ha, hb) = (
-                heat.get(*a as usize).copied().unwrap_or(0),
-                heat.get(*b as usize).copied().unwrap_or(0),
-            );
-            hb.cmp(&ha).then(a.cmp(b))
-        });
-        let mut out = self.clone();
-        hot_relocate(
-            &order,
-            &self.nodes,
-            &self.regions,
-            &self.forests,
-            &self.roots,
-            &mut out.nodes,
-            &mut out.regions,
-            &mut out.roots,
-            |node, delta| PackedNode {
-                left: rebase_ref(node.left, delta),
-                right: rebase_ref(node.right, delta),
-                ..*node
-            },
-        );
-        if self.quant.is_parallel(n, self.roots.len()) {
-            hot_relocate(
-                &order,
-                &self.quant.nodes,
-                &self.quant.regions,
-                &self.forests,
-                &self.quant.roots,
-                &mut out.quant.nodes,
-                &mut out.quant.regions,
-                &mut out.quant.roots,
-                |node, delta| QuantNode {
-                    right: rebase_ref(node.right, delta),
-                    ..*node
-                },
-            );
-        }
-        out
     }
 
     /// FNV-1a content digest of forest `index`'s compiled form, with
@@ -1294,80 +821,11 @@ fn rebase_to_region(reference: u32, start: u32) -> u32 {
     }
 }
 
-/// Rebases an untagged arena reference by `delta` (wrapping — deltas
-/// are themselves computed wrapping); leaf-tagged references carry no
-/// arena position and pass through unchanged.
-#[inline]
-fn rebase_ref(reference: u32, delta: u32) -> u32 {
-    if reference & LEAF_BIT != 0 {
-        reference
-    } else {
-        reference.wrapping_add(delta)
-    }
-}
-
-/// Relocates one node arena's per-forest regions into `order` (the
-/// hot-first permutation), rebasing intra-region child references and
-/// the logical-order root table. Region and span tables keep logical
-/// order; only physical node placement changes. Any malformed region
-/// is skipped rather than trusted — builder-made banks (the only ones
-/// carrying regions) never hit those branches.
-#[allow(clippy::too_many_arguments)]
-fn hot_relocate<N: Copy>(
-    order: &[u32],
-    nodes: &[N],
-    regions: &[(u32, u32)],
-    forests: &[ForestSpan],
-    roots: &[u32],
-    out_nodes: &mut Vec<N>,
-    out_regions: &mut Vec<(u32, u32)>,
-    out_roots: &mut Vec<u32>,
-    rebase: impl Fn(&N, u32) -> N,
-) {
-    out_nodes.clear();
-    out_nodes.reserve(nodes.len());
-    out_regions.clear();
-    out_regions.extend_from_slice(regions);
-    let mut deltas = vec![0u32; regions.len()];
-    for &index in order {
-        let index = index as usize;
-        let Some((start, end)) = regions.get(index).copied() else {
-            continue;
-        };
-        let Some(region) = nodes.get(start as usize..end.max(start) as usize) else {
-            continue;
-        };
-        let new_start = out_nodes.len() as u32;
-        let delta = new_start.wrapping_sub(start);
-        deltas[index] = delta;
-        out_nodes.extend(region.iter().map(|n| rebase(n, delta)));
-        out_regions[index] = (new_start, new_start + region.len() as u32);
-    }
-    out_roots.clear();
-    out_roots.extend_from_slice(roots);
-    let root_count = out_roots.len();
-    for (index, span) in forests.iter().enumerate() {
-        let Some(delta) = deltas.get(index).copied() else {
-            continue;
-        };
-        let start = span.roots_start as usize;
-        let Some(end) = start.checked_add(span.n_trees as usize) else {
-            continue;
-        };
-        let Some(slice) = out_roots.get_mut(start..end.min(root_count)) else {
-            continue;
-        };
-        for root in slice {
-            *root = rebase_ref(*root, delta);
-        }
-    }
-}
-
 /// Epoch-stamped per-group verdict memo for the clustered scan. Slots
 /// never need clearing: a slot is valid only when its stored epoch
 /// matches the current scan's, so `begin` is O(1) amortized (it only
 /// grows the slot table when a bigger bank comes through). One lives
-/// per shard lane and one per thread (serial scans).
+/// per thread.
 #[derive(Debug, Clone, Default)]
 struct ClusterMemo {
     epoch: u64,
@@ -1400,79 +858,17 @@ impl ClusterMemo {
 }
 
 thread_local! {
-    /// The serial clustered scan's group memo. Thread-local (not per
+    /// The clustered scan's group memo. Thread-local (not per
     /// bank) so `for_each_accepting` stays `&self` and allocation-free
     /// on warm calls; the epoch stamp isolates scans from each other
     /// and from other banks sharing the thread.
     static CLUSTER_MEMO: RefCell<ClusterMemo> = RefCell::new(ClusterMemo::default());
 }
 
-/// One shard's scratch: the accepted-index lane plus the shard's own
-/// cluster-group memo (so pooled scans never touch worker-thread
-/// state — warm allocation behaviour is owned by the caller's scratch,
-/// regardless of which pool worker steals the task).
-#[derive(Debug, Clone, Default)]
-struct ShardLane {
-    out: Vec<u32>,
-    memo: ClusterMemo,
-}
-
-/// Locks a scratch lane, recovering the guard if a panicking scan task
-/// poisoned it (the lane is cleared at the start of every scan, so a
-/// poisoned lane carries no stale state into the next call).
-fn lane_guard(lane: &Mutex<ShardLane>) -> MutexGuard<'_, ShardLane> {
-    lane.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Reusable per-shard lanes for [`CompiledBank::for_each_accepting_sharded`]:
-/// each scan task writes accepted forest indices into its own lane,
-/// and a warm call reuses the lanes' capacity — the scan itself
-/// allocates nothing. Each lane sits behind its own `Mutex` so pool
-/// tasks (which share the job closure by reference) get exclusive
-/// lane access; tasks own disjoint lanes, so every lock is
-/// uncontended.
-#[derive(Debug, Default)]
-pub struct ShardScratch {
-    lanes: Vec<Mutex<ShardLane>>,
-}
-
-impl Clone for ShardScratch {
-    fn clone(&self) -> Self {
-        ShardScratch {
-            lanes: self
-                .lanes
-                .iter()
-                .map(|lane| Mutex::new(lane_guard(lane).clone()))
-                .collect(),
-        }
-    }
-}
-
-impl ShardScratch {
-    /// An empty scratch; lanes grow on first use and are reused.
-    pub fn new() -> Self {
-        ShardScratch::default()
-    }
-
-    /// Number of lanes currently allocated (= the widest shard count
-    /// seen so far).
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-}
-
 /// Incrementally compiles binary forests into one [`CompiledBank`].
 #[derive(Debug, Clone)]
 pub struct CompiledBankBuilder {
     bank: CompiledBank,
-    /// Per-column threshold-bit-pattern → code lookup, parallel to the
-    /// codebook columns (the codebook itself stores values only; these
-    /// maps are derived state, rebuilt O(codebook) by
-    /// [`CompiledBankBuilder::from_bank`]).
-    code_maps: Vec<BTreeMap<u32, u16>>,
-    /// Whether pushed forests are quantized (the bank's quantized
-    /// tables are parallel and may be extended).
-    quant_enabled: bool,
     /// Content digest → candidate cluster group ids (a digest
     /// collision keeps multiple candidates; membership is decided by
     /// exact region comparison, never by the digest alone).
@@ -1499,81 +895,38 @@ impl CompiledBankBuilder {
 
     /// An empty builder folding feature dimensions into `stripes`
     /// index bits (`1..=32`; anything else disables indexing and the
-    /// finished bank scans fully). The threshold codebook folds
-    /// dimensions into the same column period, so Sentinel banks get
-    /// one codebook column per F′ feature.
+    /// finished bank scans fully).
     pub fn with_stripes(stripes: u32) -> Self {
-        let period = stripes.clamp(1, MAX_STRIPES);
         CompiledBankBuilder {
             bank: CompiledBank {
                 index: BankIndex::new(stripes),
-                quant: QuantBank {
-                    codebook: ThresholdCodebook::new(period),
-                    ..QuantBank::default()
-                },
                 ..CompiledBank::default()
             },
-            code_maps: vec![BTreeMap::new(); period as usize],
-            quant_enabled: true,
             digest_groups: HashMap::new(),
             cluster_enabled: true,
         }
     }
 
     /// Resumes building on top of an existing bank: pushed forests
-    /// **append** their node region, root entries, span, index row,
-    /// quantized region and cluster membership — nothing already
-    /// compiled is touched or recompiled. This is the
-    /// incremental-compilation path behind `add_device_type` at large
-    /// bank sizes (re-running the whole builder would be O(bank) per
-    /// added type). The builder's derived lookup state (threshold code
-    /// maps, digest → group candidates) is rebuilt here in
-    /// O(codebook + groups), not O(bank).
+    /// **append** their node region, root entries, span, index row
+    /// and cluster membership — nothing already compiled is touched or
+    /// recompiled. This is the incremental-compilation path behind
+    /// `add_device_type` at large bank sizes (re-running the whole
+    /// builder would be O(bank) per added type). The builder's derived
+    /// lookup state (digest → group candidates) is rebuilt here in
+    /// O(groups), not O(bank).
     ///
     /// If the bank's index is not usable for its forest count (a
     /// raw-parts bank), indexing stays disabled for the appended bank
     /// too — a partial index would silently misroute queries. The same
-    /// conservatism applies layer by layer: quantization continues
-    /// only on banks whose quantized tables are parallel to the f32
-    /// tables, and clustering only on banks with intact region
-    /// bookkeeping and a usable cluster index; anything else keeps
-    /// that acceleration off while staying fully scannable.
+    /// conservatism applies to clustering: it continues only on banks
+    /// with intact region bookkeeping and a usable cluster index;
+    /// anything else keeps that acceleration off while staying fully
+    /// scannable.
     pub fn from_bank(mut bank: CompiledBank) -> Self {
         let n = bank.forests.len();
         if n != 0 && !bank.index.is_usable(n) {
             bank.index = BankIndex::disabled();
-        }
-        // Keep accept tallies index-aligned with the span table even
-        // for banks that never tracked them (raw parts).
-        while bank.heat.0.len() < n {
-            bank.heat.grow();
-        }
-        if n == 0 && bank.quant.codebook.period() == 0 {
-            // A default-constructed bank: adopt a fresh codebook so
-            // appends quantize like a fresh builder would.
-            bank.quant.codebook =
-                ThresholdCodebook::new(bank.index.stripes().clamp(1, MAX_STRIPES));
-        }
-        let mut quant_enabled = bank.quant.codebook.period() > 0
-            && bank.quant.is_parallel(n, bank.roots.len())
-            && bank.regions.len() == n;
-        let mut code_maps = Vec::new();
-        if quant_enabled {
-            for column in bank.quant.codebook.columns() {
-                let mut map = BTreeMap::new();
-                for (slot, value) in column.iter().enumerate() {
-                    match u16::try_from(slot) {
-                        Ok(code) => {
-                            map.insert(value.to_bits(), code);
-                        }
-                        Err(_) => quant_enabled = false,
-                    }
-                }
-                code_maps.push(map);
-            }
-            if !quant_enabled {
-                code_maps.clear();
-            }
         }
         let cluster_enabled = bank.regions.len() == n && bank.clusters.is_usable(n);
         let mut digest_groups: HashMap<u64, Vec<u32>> = HashMap::new();
@@ -1586,8 +939,6 @@ impl CompiledBankBuilder {
         }
         CompiledBankBuilder {
             bank,
-            code_maps,
-            quant_enabled,
             digest_groups,
             cluster_enabled,
         }
@@ -1672,7 +1023,6 @@ impl CompiledBankBuilder {
         };
         self.bank.forests.push(span);
         self.bank.regions.push(region);
-        self.bank.heat.grow();
         let stripes = self.bank.index.stripes();
         if (1..=MAX_STRIPES).contains(&stripes) {
             // Index row: the stripes this forest's branch nodes test
@@ -1691,14 +1041,6 @@ impl CompiledBankBuilder {
                 tested,
                 default_accepts,
             });
-        }
-        if self.quant_enabled {
-            let proven = self.try_quantize_forest(&span, branch_nodes);
-            self.bank.quant.ok.push(proven);
-            debug_assert!(self
-                .bank
-                .quant
-                .is_parallel(self.bank.forests.len(), self.bank.roots.len()));
         }
         if self.cluster_enabled {
             self.cluster_push();
@@ -1758,172 +1100,6 @@ impl CompiledBankBuilder {
             }
         }
         references[0]
-    }
-
-    /// Quantizes the forest just pushed (its span in `span`, its f32
-    /// region `branch_nodes` long), appending quantized roots for each
-    /// of its trees plus one region entry, and returns whether the
-    /// quantized form was **proven** decision-identical by an
-    /// independent node-by-node verification pass. On any failure the
-    /// quantized emission is rolled back and the forest's root slots
-    /// hold harmless negative-leaf sentinels — evaluation escalates to
-    /// the retained f32 arena.
-    fn try_quantize_forest(&mut self, span: &ForestSpan, branch_nodes: usize) -> bool {
-        let qnodes_mark = self.bank.quant.nodes.len();
-        let qroots_mark = self.bank.quant.roots.len();
-        // Saturated on (impossible) overflow: the region is only used
-        // for relocation and an empty `(s, s)` region is inert.
-        let qstart = u32::try_from(qnodes_mark).unwrap_or(u32::MAX);
-        let roots = span.roots_start as usize..(span.roots_start + span.n_trees) as usize;
-        let mut proven = qnodes_mark <= u32::MAX as usize;
-        if proven {
-            for i in roots.clone() {
-                match self.quantize_tree(self.bank.roots[i], branch_nodes) {
-                    Some(qroot) => self.bank.quant.roots.push(qroot),
-                    None => {
-                        proven = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if proven {
-            // The proof: re-walk both trees in lockstep and demand
-            // structural + bit-level agreement at every node. Emission
-            // bugs escalate the forest instead of corrupting results.
-            let qroots = qroots_mark..self.bank.quant.roots.len();
-            proven = roots.clone().zip(qroots).all(|(fi, qi)| {
-                self.verify_quant_tree(self.bank.roots[fi], self.bank.quant.roots[qi])
-            });
-        }
-        if !proven {
-            self.bank.quant.nodes.truncate(qnodes_mark);
-            self.bank.quant.roots.truncate(qroots_mark);
-            self.bank
-                .quant
-                .roots
-                .extend((0..span.n_trees).map(|_| LEAF_BIT));
-            self.bank.quant.regions.push((qstart, qstart));
-            return false;
-        }
-        let qend = u32::try_from(self.bank.quant.nodes.len()).unwrap_or(u32::MAX);
-        self.bank.quant.regions.push((qstart, qend));
-        true
-    }
-
-    /// Emits one tree's quantized preorder form, returning its tagged
-    /// quantized root, or `None` when the tree cannot be represented
-    /// (feature past 14 bits, codebook column full, arena out of
-    /// tagged space) — the caller escalates the whole forest.
-    fn quantize_tree(&mut self, root: u32, region_len: usize) -> Option<u32> {
-        if root & LEAF_BIT != 0 {
-            return Some(root);
-        }
-        let qroot = u32::try_from(self.bank.quant.nodes.len()).ok()?;
-        // Work stack of (f32 reference, patch slot for the parent's
-        // right-child field). Left children need no patching — preorder
-        // emission puts them at parent + 1.
-        let mut stack: Vec<(u32, Option<usize>)> = vec![(root, None)];
-        let mut budget = region_len + 1;
-        while let Some((reference, patch)) = stack.pop() {
-            budget = budget.checked_sub(1)?;
-            let position = self.bank.quant.nodes.len();
-            if position >= LEAF_BIT as usize {
-                return None;
-            }
-            if let Some(slot) = patch {
-                self.bank.quant.nodes[slot].right = position as u32;
-            }
-            let node = *self.bank.nodes.get(reference as usize)?;
-            if node.feature > QUANT_FEATURE_MASK {
-                return None;
-            }
-            let qcode = self.encode_threshold(usize::from(node.feature), node.threshold)?;
-            let mut fl = node.feature;
-            let left_leaf = node.left & LEAF_BIT != 0;
-            if left_leaf {
-                fl |= QUANT_LEFT_LEAF;
-                if node.left & 1 == 1 {
-                    fl |= QUANT_LEFT_VOTE;
-                }
-            }
-            let right_leaf = node.right & LEAF_BIT != 0;
-            let right = if right_leaf { node.right } else { 0 };
-            self.bank.quant.nodes.push(QuantNode { fl, qcode, right });
-            // Push right first so the left subtree is emitted
-            // immediately after this node (the preorder invariant the
-            // implicit left reference depends on).
-            if !right_leaf {
-                stack.push((node.right, Some(position)));
-            }
-            if !left_leaf {
-                stack.push((node.left, None));
-            }
-        }
-        Some(qroot)
-    }
-
-    /// Looks up (or interns) the codebook code for `threshold` in
-    /// `feature`'s column. `None` when the column is full — the forest
-    /// escalates.
-    fn encode_threshold(&mut self, feature: usize, threshold: f32) -> Option<u16> {
-        let period = self.bank.quant.codebook.period();
-        if period == 0 || self.code_maps.len() != period {
-            return None;
-        }
-        let map = &mut self.code_maps[feature % period];
-        let bits = threshold.to_bits();
-        if let Some(code) = map.get(&bits) {
-            return Some(*code);
-        }
-        let code = self.bank.quant.codebook.intern(feature, threshold)?;
-        map.insert(bits, code);
-        Some(code)
-    }
-
-    /// Walks the f32 tree at `root` and the quantized tree at `qroot`
-    /// in lockstep, demanding exact agreement at every node: same
-    /// feature, bit-identical dequantized threshold, same leaf votes,
-    /// same shape. This pass is the per-node decision-identity proof —
-    /// it shares no code with the emitter it checks.
-    fn verify_quant_tree(&self, root: u32, qroot: u32) -> bool {
-        let mut stack = vec![(root, qroot)];
-        let mut budget = self.bank.nodes.len() + 2;
-        while let Some((reference, qreference)) = stack.pop() {
-            match (reference & LEAF_BIT != 0, qreference & LEAF_BIT != 0) {
-                (true, true) => {
-                    if reference & 1 != qreference & 1 {
-                        return false;
-                    }
-                    continue;
-                }
-                (false, false) => {}
-                _ => return false,
-            }
-            if budget == 0 {
-                return false;
-            }
-            budget -= 1;
-            let Some(node) = self.bank.nodes.get(reference as usize) else {
-                return false;
-            };
-            let Some(qnode) = self.bank.quant.nodes.get(qreference as usize) else {
-                return false;
-            };
-            if qnode.feature() != usize::from(node.feature) {
-                return false;
-            }
-            let Some(qthreshold) = self.bank.quant.codebook.value(qnode.feature(), qnode.qcode)
-            else {
-                return false;
-            };
-            if qthreshold.to_bits() != node.threshold.to_bits() {
-                return false;
-            }
-            stack.push((node.left, qnode.left(qreference)));
-            stack.push((node.right, qnode.right));
-        }
-        true
     }
 
     /// Joins the forest just pushed to its content-equal cluster group
@@ -2011,7 +1187,6 @@ mod tests {
     use crate::forest::ForestConfig;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-    use sentinel_pool::ComputePool;
 
     fn training_data(seed: u64, n: usize, d: usize) -> (Vec<Vec<f32>>, Vec<usize>) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -2086,11 +1261,6 @@ mod tests {
             after_zero.forests_skipped - after_indexed.forests_skipped,
             bank.forest_count() as u64
         );
-
-        let mut scratch = ShardScratch::new();
-        bank.for_each_accepting_pooled(sentinel_pool::global(), &sample, 2, &mut scratch, |_| {});
-        assert_eq!(bank.scan_counters().queries, 4);
-        assert_eq!(bank.scan_counters().prefiltered, 3);
 
         // Clones carry the values; fresh builds start at zero.
         let cloned = bank.clone();
@@ -2324,101 +1494,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_scan_is_bit_identical_and_ordered() {
-        let forests: Vec<RandomForest> = (0..7).map(|i| forest(110 + i, 2)).collect();
-        let mut builder = CompiledBankBuilder::with_stripes(2);
-        for f in &forests {
-            builder.push(f, 0.2).unwrap();
-        }
-        let bank = builder.finish();
-        let mut scratch = ShardScratch::new();
-        let mut rng = SmallRng::seed_from_u64(29);
-        for _ in 0..60 {
-            let sample: Vec<f32> = (0..2).map(|_| rng.gen::<f32>() * 1.5).collect();
-            let mut sequential = Vec::new();
-            bank.for_each_accepting_indexed(&sample, |i| sequential.push(i));
-            // Every shard count — including 1 (inline) and counts past
-            // the forest count (clamped) — merges to the same order.
-            for shards in [0usize, 1, 2, 3, 5, 7, 16] {
-                let mut pooled = Vec::new();
-                bank.for_each_accepting_pooled(
-                    sentinel_pool::global(),
-                    &sample,
-                    shards,
-                    &mut scratch,
-                    |i| pooled.push(i),
-                );
-                assert_eq!(
-                    pooled, sequential,
-                    "pooled({shards}) diverged on {sample:?}"
-                );
-                // The auto entry point routes a bank this small inline;
-                // candidate order must be bit-identical to the pooled run.
-                let mut auto = Vec::new();
-                bank.for_each_accepting_sharded(&sample, shards, &mut scratch, |i| auto.push(i));
-                assert_eq!(auto, pooled, "inline({shards}) diverged on {sample:?}");
-            }
-        }
-        assert!(scratch.lane_count() >= 7);
-    }
-
-    #[test]
-    fn auto_sharded_scan_pools_past_the_threshold_and_stays_bit_identical() {
-        let forests: Vec<RandomForest> = (0..7).map(|i| forest(210 + i, 2)).collect();
-        let mut builder = CompiledBankBuilder::with_stripes(2);
-        for f in &forests {
-            builder.push(f, 0.2).unwrap();
-        }
-        let small = builder.finish();
-        let tiled = small.repeat(SHARDED_MIN_FORESTS / small.forest_count() + 1);
-        assert!(tiled.forest_count() >= SHARDED_MIN_FORESTS);
-        let pool = ComputePool::new(3);
-        let mut scratch = ShardScratch::new();
-        let mut rng = SmallRng::seed_from_u64(57);
-        for _ in 0..10 {
-            let sample: Vec<f32> = (0..2).map(|_| rng.gen::<f32>() * 1.5).collect();
-            let mut sequential = Vec::new();
-            tiled.for_each_accepting_indexed(&sample, |i| sequential.push(i));
-            let mut auto = Vec::new();
-            tiled.for_each_accepting_sharded(&sample, 4, &mut scratch, |i| auto.push(i));
-            assert_eq!(auto, sequential, "auto-pooled diverged on {sample:?}");
-            let mut scoped = Vec::new();
-            tiled.for_each_accepting_sharded_scoped(&sample, 4, &mut scratch, |i| scoped.push(i));
-            assert_eq!(scoped, sequential, "scoped baseline diverged on {sample:?}");
-            let mut pooled = Vec::new();
-            tiled.for_each_accepting_pooled(&pool, &sample, 4, &mut scratch, |i| pooled.push(i));
-            assert_eq!(pooled, sequential, "private pool diverged on {sample:?}");
-        }
-        // Past the threshold the auto path really used the global pool.
-        let counters = sentinel_pool::global().counters();
-        assert!(counters.submitted > 0);
-    }
-
-    #[test]
-    fn small_banks_scan_inline_without_touching_the_pool() {
-        let forests: Vec<RandomForest> = (0..5).map(|i| forest(230 + i, 2)).collect();
-        let mut builder = CompiledBankBuilder::with_stripes(2);
-        for f in &forests {
-            builder.push(f, 0.2).unwrap();
-        }
-        let bank = builder.finish();
-        assert!(bank.forest_count() < SHARDED_MIN_FORESTS);
-        // A private pool observes zero submissions because the auto
-        // entry point never reaches a pool for a bank this small —
-        // task hand-off would dominate the whole scan.
-        let pool = ComputePool::new(2);
-        let before = pool.counters().submitted;
-        let mut scratch = ShardScratch::new();
-        let mut out = Vec::new();
-        bank.for_each_accepting_sharded(&[0.4, 0.6], 4, &mut scratch, |i| out.push(i));
-        let mut serial = Vec::new();
-        bank.for_each_accepting(&[0.4, 0.6], |i| serial.push(i));
-        assert_eq!(out, serial);
-        assert_eq!(pool.counters().submitted, before);
-        assert_eq!(scratch.lane_count(), 0, "inline scans never grow lanes");
-    }
-
-    #[test]
     fn from_bank_appends_identically_to_one_shot_compilation() {
         let forests: Vec<RandomForest> = (0..5).map(|i| forest(130 + i, 3)).collect();
         let mut oneshot = CompiledBankBuilder::with_stripes(3);
@@ -2438,19 +1513,14 @@ mod tests {
         let resumed = resumed.finish();
 
         // The append path reproduces the one-shot arena exactly —
-        // including the region table, the quantized side and the
-        // cluster index (from_bank rebuilds its lookup state from the
-        // bank, so appended forests intern and cluster identically).
+        // including the region table and the cluster index (from_bank
+        // rebuilds its lookup state from the bank, so appended forests
+        // cluster identically).
         assert_eq!(resumed.nodes, oneshot.nodes);
         assert_eq!(resumed.roots, oneshot.roots);
         assert_eq!(resumed.spans(), oneshot.spans());
         assert_eq!(resumed.index(), oneshot.index());
         assert_eq!(resumed.regions, oneshot.regions);
-        assert_eq!(resumed.quant.nodes, oneshot.quant.nodes);
-        assert_eq!(resumed.quant.roots, oneshot.quant.roots);
-        assert_eq!(resumed.quant.ok, oneshot.quant.ok);
-        assert_eq!(resumed.quant.regions, oneshot.quant.regions);
-        assert_eq!(resumed.quant.codebook, oneshot.quant.codebook);
         assert_eq!(resumed.clusters().group_of(), oneshot.clusters().group_of());
         assert_eq!(
             resumed.clusters().group_count(),
@@ -2527,7 +1597,6 @@ mod tests {
             );
         }
         let mut rng = SmallRng::seed_from_u64(31);
-        let mut scratch = ShardScratch::new();
         for _ in 0..30 {
             let sample: Vec<f32> = (0..2).map(|_| rng.gen::<f32>() * 1.5).collect();
             let mut indexed = Vec::new();
@@ -2535,15 +1604,6 @@ mod tests {
             let mut full = Vec::new();
             tiled.for_each_accepting_full(&sample, |i| full.push(i));
             assert_eq!(indexed, full);
-            let mut sharded = Vec::new();
-            tiled.for_each_accepting_pooled(
-                sentinel_pool::global(),
-                &sample,
-                4,
-                &mut scratch,
-                |i| sharded.push(i),
-            );
-            assert_eq!(sharded, full);
         }
     }
 
@@ -2586,25 +1646,11 @@ mod tests {
                     .collect();
                 let mut verdicts = [false; 3];
                 hostile.for_each_accepting_indexed(&sample, |i| verdicts[i] = true);
-                let mut sharded = Vec::new();
-                let mut scratch = ShardScratch::new();
-                hostile.for_each_accepting_pooled(
-                    sentinel_pool::global(),
-                    &sample,
-                    3,
-                    &mut scratch,
-                    |i| sharded.push(i),
-                );
                 for (i, row) in garbage_rows.iter().enumerate() {
                     let truth = sound.accepts(i, &sample);
                     assert!(
                         verdicts[i] == truth || verdicts[i] == row.default_accepts,
                         "forest {i} invented a verdict on {sample:?}"
-                    );
-                    assert_eq!(
-                        sharded.contains(&i),
-                        verdicts[i],
-                        "sharded and serial hostile scans diverged"
                     );
                 }
             }
@@ -2657,7 +1703,7 @@ mod tests {
         // Garbage everywhere at once: cyclic nodes, wild spans, wild
         // index rows. Evaluation must terminate under the step budget
         // with only scan-or-default verdicts, through every entry
-        // point including the sharded one.
+        // point.
         let cyclic = PackedNode {
             feature: 9,
             threshold: 0.5,
@@ -2705,19 +1751,15 @@ mod tests {
             BankIndex::from_rows(2, rows.clone()),
         );
         assert!(bank.is_indexed());
-        let mut scratch = ShardScratch::new();
         for sample in [[0.5f32, 0.5], [0.0, 0.0], [f32::NAN, 1.0]] {
             let mut serial = Vec::new();
             bank.for_each_accepting_indexed(&sample, |i| serial.push(i));
-            let mut sharded = Vec::new();
-            bank.for_each_accepting_pooled(
-                sentinel_pool::global(),
-                &sample,
-                3,
-                &mut scratch,
-                |i| sharded.push(i),
-            );
-            assert_eq!(serial, sharded);
+            // No cluster index on a raw bank: the clustered entry point
+            // must degrade to the same prefiltered scan.
+            let mut clustered = Vec::new();
+            bank.for_each_accepting_clustered(&sample, |i| clustered.push(i));
+            assert_eq!(serial, clustered);
+            bank.for_each_accepting(&sample, |_| {});
             for (i, row) in rows.iter().enumerate() {
                 let scan = bank.accepts(i, &sample);
                 let got = serial.contains(&i);
@@ -2810,17 +1852,13 @@ mod tests {
     }
 
     #[test]
-    fn quantized_scan_is_proven_and_bit_identical_on_adversarial_probes() {
+    fn every_route_is_bit_identical_on_adversarial_probes() {
         let forests: Vec<RandomForest> = (0..5).map(|i| forest(300 + i, 3)).collect();
         let mut builder = CompiledBankBuilder::with_stripes(3);
         for f in &forests {
             builder.push(f, 0.35).unwrap();
         }
         let bank = builder.finish();
-        // Exact bit-round-trip codebooks prove every forest here.
-        assert_eq!(bank.quantized_forest_count(), bank.forest_count());
-        assert!(bank.quant().node_count() > 0);
-        assert!(bank.quant().node_count() <= bank.node_count());
         let specials = [
             f32::NAN,
             0.0,
@@ -2835,9 +1873,12 @@ mod tests {
         let check = |sample: &[f32]| {
             let mut full = Vec::new();
             bank.for_each_accepting_full(sample, |i| full.push(i));
-            let mut quant = Vec::new();
-            bank.for_each_accepting_quant(sample, |i| quant.push(i));
-            assert_eq!(quant, full, "quantized scan diverged on {sample:?}");
+            let mut indexed = Vec::new();
+            bank.for_each_accepting_indexed(sample, |i| indexed.push(i));
+            assert_eq!(indexed, full, "prefiltered scan diverged on {sample:?}");
+            let mut clustered = Vec::new();
+            bank.for_each_accepting_clustered(sample, |i| clustered.push(i));
+            assert_eq!(clustered, full, "clustered scan diverged on {sample:?}");
             for (i, f) in forests.iter().enumerate() {
                 assert_eq!(
                     full.contains(&i),
@@ -2858,8 +1899,8 @@ mod tests {
                 .collect();
             check(&sample);
         }
-        // Probes sitting exactly on stored thresholds (bucket edges),
-        // and one ulp to either side.
+        // Probes sitting exactly on stored thresholds, and one ulp to
+        // either side.
         let edges: Vec<f32> = bank.nodes.iter().take(24).map(|n| n.threshold).collect();
         for t in edges {
             for probe in [
@@ -2873,11 +1914,11 @@ mod tests {
     }
 
     #[test]
-    fn forests_testing_high_dimensions_escalate_and_stay_identical() {
-        // One informative feature at the first dimension past the
-        // 14-bit quantized range — every split lands there, so the
-        // forest cannot be represented and must escalate to f32.
-        let d = usize::from(QUANT_FEATURE_MASK) + 2;
+    fn forests_testing_high_dimensions_stay_identical() {
+        // One informative feature far past the stripe count — every
+        // split lands there, so the prefilter's stripe fold and the
+        // packed u16 feature index are both exercised off the low end.
+        let d = (1usize << 14) + 1;
         let mut rng = SmallRng::seed_from_u64(71);
         let mut samples = Vec::new();
         let mut labels = Vec::new();
@@ -2901,23 +1942,17 @@ mod tests {
         builder.push(&f, 0.5).unwrap();
         let bank = builder.finish();
         assert!(bank.node_count() > 0, "the forest must actually split");
-        assert_eq!(
-            bank.quantized_forest_count(),
-            0,
-            "a forest testing dimension {} must escalate",
-            d - 1
-        );
-        // Escalated forests still carry parallel (sentinel) tables so
-        // appends and relocation keep working.
-        assert!(bank.quant().is_parallel(1, bank.roots.len()));
         let mut probe = vec![0f32; d];
         for x in [0.2f32, 0.5, 0.7, f32::NAN] {
             probe[d - 1] = x;
             let mut full = Vec::new();
             bank.for_each_accepting_full(&probe, |i| full.push(i));
-            let mut quant = Vec::new();
-            bank.for_each_accepting_quant(&probe, |i| quant.push(i));
-            assert_eq!(quant, full, "escalated scan diverged at x={x}");
+            let mut indexed = Vec::new();
+            bank.for_each_accepting_indexed(&probe, |i| indexed.push(i));
+            assert_eq!(indexed, full, "prefiltered scan diverged at x={x}");
+            let mut clustered = Vec::new();
+            bank.for_each_accepting_clustered(&probe, |i| clustered.push(i));
+            assert_eq!(clustered, full, "clustered scan diverged at x={x}");
             assert_eq!(
                 full.contains(&0),
                 f.positive_vote_fraction(&probe).unwrap() >= 0.5
@@ -2944,7 +1979,6 @@ mod tests {
         assert!(bank.clusters().is_usable(n));
         let skipped_before = bank.scan_counters().forests_skipped;
         let mut rng = SmallRng::seed_from_u64(67);
-        let mut scratch = ShardScratch::new();
         for case in 0..40 {
             let sample: Vec<f32> = (0..3)
                 .map(|_| {
@@ -2964,17 +1998,6 @@ mod tests {
             let mut auto = Vec::new();
             bank.for_each_accepting(&sample, |i| auto.push(i));
             assert_eq!(auto, full, "auto route diverged on {sample:?}");
-            // Sharded lanes ride per-lane memos through the same
-            // machinery.
-            let mut sharded = Vec::new();
-            bank.for_each_accepting_pooled(
-                sentinel_pool::global(),
-                &sample,
-                4,
-                &mut scratch,
-                |i| sharded.push(i),
-            );
-            assert_eq!(sharded, full, "sharded clustered diverged on {sample:?}");
         }
         // Group members beyond each representative were answered from
         // the memo — at least (n - groups) skips per clustered pass.
@@ -2986,7 +2009,7 @@ mod tests {
     }
 
     #[test]
-    fn repeat_tiles_quant_and_clusters_identically() {
+    fn repeat_tiles_clusters_identically() {
         let forests: Vec<RandomForest> = (0..3).map(|i| forest(340 + i, 2)).collect();
         let mut builder = CompiledBankBuilder::with_stripes(2);
         for f in &forests {
@@ -2997,7 +2020,6 @@ mod tests {
         let tiled = bank.repeat(times);
         assert!(tiled.forest_count() >= CLUSTER_MIN_FORESTS);
         assert_eq!(tiled.clusters().group_count(), forests.len());
-        assert_eq!(tiled.quantized_forest_count(), tiled.forest_count());
         let mut rng = SmallRng::seed_from_u64(83);
         for _ in 0..30 {
             let sample: Vec<f32> = (0..2).map(|_| rng.gen::<f32>() * 1.5).collect();
@@ -3006,9 +2028,9 @@ mod tests {
             let mut auto = Vec::new();
             tiled.for_each_accepting(&sample, |i| auto.push(i));
             assert_eq!(auto, full);
-            let mut quant = Vec::new();
-            tiled.for_each_accepting_quant(&sample, |i| quant.push(i));
-            assert_eq!(quant, full);
+            let mut indexed = Vec::new();
+            tiled.for_each_accepting_indexed(&sample, |i| indexed.push(i));
+            assert_eq!(indexed, full);
             for copy in 0..times {
                 for (i, _) in forests.iter().enumerate() {
                     assert_eq!(
@@ -3021,67 +2043,49 @@ mod tests {
         }
     }
 
+    /// Pins the auto-router: each tier of
+    /// [`CompiledBank::for_each_accepting`] leaves its own trace in the
+    /// scan counters, so a route that silently stops being taken fails
+    /// here.
     #[test]
-    fn hot_first_relocation_preserves_scans_and_appends() {
-        let forests: Vec<RandomForest> = (0..6).map(|i| forest(360 + i, 3)).collect();
-        let mut builder = CompiledBankBuilder::with_stripes(3);
-        for f in &forests {
-            builder.push(f, 0.35).unwrap();
-        }
-        let bank = builder.finish();
-        // Accrue accept heat, then relocate hottest-first.
-        let mut rng = SmallRng::seed_from_u64(73);
-        for _ in 0..40 {
-            let sample: Vec<f32> = (0..3).map(|_| rng.gen::<f32>() * 1.5).collect();
-            bank.for_each_accepting_full(&sample, |_| {});
-        }
-        let heat = bank.heat();
-        assert!(heat.iter().sum::<u32>() > 0, "heat must have accrued");
-        let hot = bank.rebuilt_hot_first();
-        assert_eq!(hot.forest_count(), bank.forest_count());
-        assert_eq!(hot.node_count(), bank.node_count());
-        assert_eq!(hot.quantized_forest_count(), bank.quantized_forest_count());
-        // The hottest forest's region now leads the arena.
-        let mut order: Vec<usize> = (0..heat.len()).collect();
-        order.sort_by(|a, b| heat[*b].cmp(&heat[*a]).then(a.cmp(b)));
-        assert_eq!(hot.regions[order[0]].0, 0);
-        // Every scan path stays bit-identical to the source bank.
-        for _ in 0..60 {
-            let sample: Vec<f32> = (0..3).map(|_| rng.gen::<f32>() * 1.5).collect();
-            let mut want = Vec::new();
-            bank.for_each_accepting_full(&sample, |i| want.push(i));
-            let mut full = Vec::new();
-            hot.for_each_accepting_full(&sample, |i| full.push(i));
-            assert_eq!(full, want, "hot-first full scan diverged on {sample:?}");
-            let mut indexed = Vec::new();
-            hot.for_each_accepting_indexed(&sample, |i| indexed.push(i));
-            assert_eq!(indexed, want);
-            let mut quant = Vec::new();
-            hot.for_each_accepting_quant(&sample, |i| quant.push(i));
-            assert_eq!(quant, want);
-        }
-        // Appending through from_bank keeps working on the relocated
-        // bank, quantization and clustering included.
-        let extra = forest(399, 3);
-        let mut resumed = CompiledBankBuilder::from_bank(hot.clone());
-        resumed.push(&extra, 0.35).unwrap();
-        let grown = resumed.finish();
-        assert_eq!(grown.quantized_forest_count(), grown.forest_count());
-        assert_eq!(grown.clusters().group_of().len(), grown.forest_count());
-        for _ in 0..40 {
-            let sample: Vec<f32> = (0..3).map(|_| rng.gen::<f32>() * 1.5).collect();
-            let mut full = Vec::new();
-            grown.for_each_accepting_full(&sample, |i| full.push(i));
-            let mut quant = Vec::new();
-            grown.for_each_accepting_quant(&sample, |i| quant.push(i));
-            assert_eq!(quant, full);
-            for (i, f) in forests.iter().chain([&extra]).enumerate() {
-                assert_eq!(
-                    full.contains(&i),
-                    f.positive_vote_fraction(&sample).unwrap() >= 0.35,
-                    "forest {i} diverged after relocation + append"
-                );
+    fn auto_router_picks_full_prefiltered_and_clustered_by_bank_shape() {
+        let dense = [0.4f32, 0.6, 0.2];
+        let bank_of = |seeds: std::ops::Range<u64>| {
+            let mut builder = CompiledBankBuilder::with_stripes(3);
+            for seed in seeds {
+                builder.push(&forest(seed, 3), 0.35).unwrap();
             }
-        }
+            builder.finish()
+        };
+        let scan = |bank: &CompiledBank| {
+            let before = bank.scan_counters();
+            let mut auto = Vec::new();
+            bank.for_each_accepting(&dense, |i| auto.push(i));
+            let after = bank.scan_counters();
+            assert_eq!(after.queries, before.queries + 1);
+            let mut full = Vec::new();
+            bank.for_each_accepting_full(&dense, |i| full.push(i));
+            assert_eq!(auto, full);
+            (
+                after.prefiltered - before.prefiltered,
+                after.forests_skipped - before.forests_skipped,
+            )
+        };
+        // The paper's 27 types: plain full scan, prefilter untouched.
+        let small = bank_of(400..427);
+        assert_eq!(small.forest_count(), 27);
+        assert_eq!(scan(&small), (0, 0));
+        // 64 distinct forests: prefiltered, nothing to cluster.
+        let distinct = bank_of(400..400 + PREFILTER_MIN_FORESTS as u64);
+        assert_eq!(distinct.clusters().group_count(), distinct.forest_count());
+        assert_eq!(scan(&distinct).0, 1);
+        // A tiled bank past the cluster threshold: one walk per group,
+        // every other member answered from the memo.
+        let tiled = bank_of(400..404).repeat(CLUSTER_MIN_FORESTS / 4);
+        let (n, groups) = (tiled.forest_count(), tiled.clusters().group_count());
+        assert!(n >= CLUSTER_MIN_FORESTS && groups == 4);
+        let (prefiltered, skipped) = scan(&tiled);
+        assert_eq!(prefiltered, 1);
+        assert!(skipped >= (n - groups) as u64, "memo skips: {skipped}");
     }
 }

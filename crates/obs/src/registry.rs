@@ -224,7 +224,7 @@ pub enum Stage {
     /// Query-frame payload decode (wire bytes → fingerprints).
     Decode = 0,
     /// Identification: prefilter consult + arena scan/vote + response
-    /// assembly (`handle_batch_with`), the paper's classification step.
+    /// assembly (`handle_batch_on`), the paper's classification step.
     Scan = 1,
     /// Response-frame encode (responses → wire bytes) and send.
     Encode = 2,

@@ -1,12 +1,11 @@
 //! Persistent work-stealing compute pool for the IoT SENTINEL service.
 //!
 //! Every parallel path in the workspace — batch chunking in
-//! `sentinel-core`, sharded span scans in `sentinel-ml`, background
-//! recompiles behind hot reload — used to spawn scoped threads per
-//! call, and those scopes *nested* when a batch fanned out over a
-//! sharded bank (threads × threads). This crate replaces all of that
-//! with one pool of pinned worker threads created once and reused for
-//! the life of the service:
+//! `sentinel-core`, background recompiles behind hot reload — used to
+//! spawn scoped threads per call, and those scopes *nested* when a
+//! server worker fanned a batch out (threads × threads). This crate
+//! replaces all of that with one pool of pinned worker threads created
+//! once and reused for the life of the service:
 //!
 //! * **Per-worker deques + a global injector.** Each worker owns a
 //!   deque it pushes/pops at the back (LIFO, so nested jobs run
@@ -16,7 +15,8 @@
 //!   through a shared injector queue. This is the Chase–Lev schedule
 //!   with the deques guarded by uncontended mutexes instead of the
 //!   epoch-reclamation machinery the lock-free variant needs; tasks
-//!   here are coarse (span ranges, batch chunks), so the lock is noise.
+//!   here are coarse (batch chunks, whole query frames), so the lock is
+//!   noise.
 //! * **Fork-join over borrowed data.** [`ComputePool::for_each`] is a
 //!   scoped `join`: the job descriptor lives on the caller's stack,
 //!   workers are handed copyable *tickets* pointing at it, and the call

@@ -266,9 +266,8 @@ impl SentinelBuilder {
 
     /// Sizes the compute pool this Sentinel's [`ServiceCell`] owns
     /// (see [`Sentinel::service_cell`]): the fixed set of pinned
-    /// worker threads that all parallel work — sharded classifier
-    /// scans, query-batch fan-out, server-side batches and admin
-    /// reloads — runs on. `0` or unset keeps the process-wide shared
+    /// worker threads that all parallel work — query-batch fan-out,
+    /// server-side batches and admin reloads — runs on. `0` or unset keeps the process-wide shared
     /// pool ([`sentinel_pool::global`], sized by the
     /// `SENTINEL_POOL_THREADS` environment variable or the machine's
     /// available parallelism); any other value gives this Sentinel a
@@ -694,17 +693,6 @@ impl Sentinel {
     /// model).
     pub fn bank_stats(&self) -> sentinel_core::BankStats {
         self.controller.service().bank_stats()
-    }
-
-    /// Relocates the classifier bank's node regions
-    /// most-accepted-first, guided by the accept tallies accrued while
-    /// serving. A pure layout optimization: every identification stays
-    /// bit-identical, but dense probes stream the workload's hot
-    /// forests as one contiguous arena prefix. Run it during a quiet
-    /// period once traffic has warmed the tallies
-    /// ([`Sentinel::bank_stats`] shows the scan counters).
-    pub fn optimize_bank_layout(&mut self) {
-        self.controller.service_mut().optimize_bank_layout()
     }
 
     /// The SDN controller, for flows the facade does not cover

@@ -58,10 +58,9 @@ fn class_dataset(class_seeds: &[u32], samples_per_class: usize) -> Dataset {
 }
 
 /// Asserts the compiled bank and the interpreter agree on `fixed`,
-/// through every stage-one entry point — including the quantized
-/// 8-byte-node scan and the coarse-to-fine clustered scan, forced at
-/// bank level so banks below the auto-routing thresholds exercise
-/// them too.
+/// through every stage-one entry point — the full, prefiltered and
+/// clustered tiers forced at bank level, so banks below the
+/// auto-routing thresholds exercise them too.
 fn assert_fixed_parity(
     identifier: &DeviceTypeIdentifier,
     scratch: &mut CandidateScratch,
@@ -78,11 +77,17 @@ fn assert_fixed_parity(
     assert_eq!(scratch.candidates(), compiled.as_slice());
     let ids: Vec<_> = identifier.known_type_ids().collect();
     let bank = identifier.compiled_bank();
-    let mut quant = Vec::new();
-    bank.for_each_accepting_quant(fixed.as_slice(), |i| quant.push(ids[i]));
+    let mut full = Vec::new();
+    bank.for_each_accepting_full(fixed.as_slice(), |i| full.push(ids[i]));
     assert_eq!(
-        quant, interpreted,
-        "quantized scan diverged from the interpreter on {what}"
+        full, interpreted,
+        "full scan diverged from the interpreter on {what}"
+    );
+    let mut indexed = Vec::new();
+    bank.for_each_accepting_indexed(fixed.as_slice(), |i| indexed.push(ids[i]));
+    assert_eq!(
+        indexed, interpreted,
+        "prefiltered scan diverged from the interpreter on {what}"
     );
     let mut clustered = Vec::new();
     bank.for_each_accepting_clustered(fixed.as_slice(), |i| clustered.push(ids[i]));
@@ -102,7 +107,7 @@ fn assert_parity(
 }
 
 /// Probes stuffed with the f32 values most likely to expose a
-/// mis-quantized comparison: NaN (all comparisons false), signed
+/// mis-compiled comparison: NaN (all comparisons false), signed
 /// zeros (equal but bit-distinct), denormals, and infinities.
 fn special_value_probes(identifier: &DeviceTypeIdentifier) -> Vec<(FixedFingerprint, String)> {
     let dims = identifier.config().fixed_prefix_len * FEATURE_COUNT;
@@ -144,11 +149,6 @@ proptest! {
         let ds = class_dataset(&class_seeds, samples_per_class);
         let identifier = Trainer::new(quick_config()).train(&ds, 5).unwrap();
         prop_assert_eq!(identifier.compiled_bank().forest_count(), identifier.type_count());
-        prop_assert_eq!(
-            identifier.compiled_bank().quantized_forest_count(),
-            identifier.type_count(),
-            "every trained forest must carry a proven-identical quantized form"
-        );
         let mut scratch = CandidateScratch::new();
         for tag in probe_tags {
             assert_parity(&identifier, &mut scratch, &fp(&[tag, tag + 17, tag + 31]));
@@ -174,11 +174,6 @@ proptest! {
             .collect();
         identifier.add_device_type("Late", &new_fps, 11).unwrap();
         prop_assert_eq!(identifier.compiled_bank().forest_count(), identifier.type_count());
-        prop_assert_eq!(
-            identifier.compiled_bank().quantized_forest_count(),
-            identifier.type_count(),
-            "incrementally appended forests must quantize and stay proven"
-        );
         let mut scratch = CandidateScratch::new();
         assert_parity(&identifier, &mut scratch, &new_fps[0]);
         for tag in probe_tags {
@@ -214,19 +209,11 @@ proptest! {
             .map(|i| fp(&[new_seed + i, new_seed + 17, new_seed + 31]))
             .collect();
         reloaded.add_device_type("Hotswap", &new_fps, 13).unwrap();
-        // Serve a hot-first-relocated layout: the physical reorder
-        // must be invisible to every candidate set the epoch answers.
-        reloaded.optimize_bank_layout();
         prop_assert_eq!(cell.replace_identifier(reloaded).unwrap(), 2);
 
         let pinned = cell.load();
         let identifier = pinned.identifier();
         prop_assert_eq!(identifier.compiled_bank().forest_count(), identifier.type_count());
-        prop_assert_eq!(
-            identifier.compiled_bank().quantized_forest_count(),
-            identifier.type_count(),
-            "a reloaded, extended, relocated bank must re-prove every quantized forest"
-        );
         let mut scratch = CandidateScratch::new();
         assert_parity(identifier, &mut scratch, &new_fps[0]);
         for tag in probe_tags {

@@ -1,7 +1,6 @@
-//! Indexed / sharded / quantized / clustered scan parity properties.
+//! Indexed / clustered scan parity properties.
 //!
-//! The feature-bitmap prefilter, the thread-sharded scan, the
-//! quantized 8-byte-node scan, and the coarse-to-fine cluster scan
+//! The feature-bitmap prefilter and the coarse-to-fine cluster scan
 //! exist purely as faster routes through the compiled classifier
 //! bank: for every fingerprint, over every bank shape we can randomly
 //! construct — including probes stuffed with NaN, signed zeros,
@@ -19,8 +18,8 @@
 use proptest::prelude::*;
 
 use iot_sentinel::core::{
-    persist, DeviceTypeIdentifier, IdentifierConfig, IoTSecurityService, ServiceCell,
-    ShardedScratch, Trainer, VulnerabilityDatabase,
+    persist, CandidateScratch, DeviceTypeIdentifier, IdentifierConfig, IoTSecurityService,
+    ServiceCell, Trainer, VulnerabilityDatabase,
 };
 use iot_sentinel::fingerprint::{
     Dataset, Fingerprint, FixedFingerprint, LabeledFingerprint, PacketFeatures, FEATURE_COUNT,
@@ -70,12 +69,11 @@ fn class_dataset(class_seeds: &[u32], samples_per_class: usize) -> Dataset {
 }
 
 /// Asserts every scan route — auto-routed, unindexed full, forced
-/// prefilter, quantized, clustered, and sharded at several widths —
-/// reproduces the interpreter's candidate set exactly, through the
-/// owned-Vec and caller-scratch entry points.
+/// prefilter and clustered — reproduces the interpreter's candidate
+/// set exactly, through the owned-Vec and caller-scratch entry points.
 fn assert_fixed_parity(
     identifier: &DeviceTypeIdentifier,
-    scratch: &mut ShardedScratch,
+    scratch: &mut CandidateScratch,
     fixed: &FixedFingerprint,
     what: &str,
 ) {
@@ -85,28 +83,29 @@ fn assert_fixed_parity(
         routed, interpreted,
         "auto-routed scan diverged from the interpreter on {what}"
     );
+    identifier.classify_candidates_into(fixed, scratch);
     assert_eq!(
-        identifier.classify_candidates_full(fixed),
-        interpreted,
-        "full scan diverged from the interpreter on {what}"
+        scratch.candidates(),
+        interpreted.as_slice(),
+        "caller-scratch scan diverged on {what}"
     );
     // The hot path only consults the prefilter / cluster index past
     // their size thresholds; force each route at bank level so banks
-    // of *every* size exercise the skip-to-cached-verdict, the
-    // 8-byte-node, and the one-walk-per-group scans.
+    // of *every* size exercise the skip-to-cached-verdict and the
+    // one-walk-per-group scans.
     let ids: Vec<_> = identifier.known_type_ids().collect();
     let bank = identifier.compiled_bank();
+    let mut full = Vec::new();
+    bank.for_each_accepting_full(fixed.as_slice(), |i| full.push(ids[i]));
+    assert_eq!(
+        full, interpreted,
+        "full scan diverged from the interpreter on {what}"
+    );
     let mut forced = Vec::new();
     bank.for_each_accepting_indexed(fixed.as_slice(), |i| forced.push(ids[i]));
     assert_eq!(
         forced, interpreted,
         "forced prefilter scan diverged from the interpreter on {what}"
-    );
-    let mut quant = Vec::new();
-    bank.for_each_accepting_quant(fixed.as_slice(), |i| quant.push(ids[i]));
-    assert_eq!(
-        quant, interpreted,
-        "quantized scan diverged from the interpreter on {what}"
     );
     let mut clustered = Vec::new();
     bank.for_each_accepting_clustered(fixed.as_slice(), |i| clustered.push(ids[i]));
@@ -114,19 +113,11 @@ fn assert_fixed_parity(
         clustered, interpreted,
         "clustered scan diverged from the interpreter on {what}"
     );
-    for shards in [1usize, 2, 3, 7] {
-        identifier.classify_candidates_sharded_into(fixed, shards, scratch);
-        assert_eq!(
-            scratch.candidates(),
-            interpreted.as_slice(),
-            "sharded({shards}) scan diverged on {what}"
-        );
-    }
 }
 
 fn assert_indexed_parity(
     identifier: &DeviceTypeIdentifier,
-    scratch: &mut ShardedScratch,
+    scratch: &mut CandidateScratch,
     probe: &Fingerprint,
 ) {
     let fixed = probe.to_fixed_with(identifier.config().fixed_prefix_len);
@@ -157,8 +148,8 @@ fn ulp_down(x: f32) -> f32 {
     }
 }
 
-/// Fixed-width probes packed with the IEEE-754 edge cases the
-/// quantized bucket comparison must not reorder: NaN, ±0.0,
+/// Fixed-width probes packed with the IEEE-754 edge cases a compiled
+/// comparison must not reorder: NaN, ±0.0,
 /// denormals, infinities, and values exactly on / one ulp either side
 /// of real split thresholds harvested from the compiled arena.
 fn adversarial_fixed_probes(identifier: &DeviceTypeIdentifier) -> Vec<(FixedFingerprint, String)> {
@@ -186,8 +177,8 @@ fn adversarial_fixed_probes(identifier: &DeviceTypeIdentifier) -> Vec<(FixedFing
         ));
     }
     // Straddle real split thresholds: exactly at, one ulp below, one
-    // ulp above — the three points where a quantized bucket compare
-    // could flip a branch the f32 compare would not.
+    // ulp above — the three points where a mis-compiled compare
+    // could flip a branch the interpreter would not.
     let bank = identifier.compiled_bank();
     for (ni, node) in bank.nodes().iter().enumerate().step_by(7).take(24) {
         let feature = usize::from(node.feature);
@@ -221,7 +212,7 @@ fn adversarial_fixed_probes(identifier: &DeviceTypeIdentifier) -> Vec<(FixedFing
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random banks × random fingerprints: the indexed and sharded
+    /// Random banks × random fingerprints: the indexed and clustered
     /// candidate sets are bit-identical to the interpreter, for
     /// in-distribution and alien probes alike.
     #[test]
@@ -236,19 +227,15 @@ proptest! {
         prop_assert!(stats.indexed, "trained banks must carry a usable index");
         prop_assert_eq!(stats.stripes, 23);
         prop_assert_eq!(stats.forests, identifier.type_count());
-        prop_assert_eq!(
-            stats.quantized_forests, stats.forests,
-            "every trained forest must carry a proven-identical quantized form"
-        );
-        let mut scratch = ShardedScratch::new();
+        let mut scratch = CandidateScratch::new();
         for tag in probe_tags {
             assert_indexed_parity(&identifier, &mut scratch, &fp(&[tag, tag + 17, tag + 31]));
         }
         // The all-default fingerprint exercises the pure
         // cached-verdict route (its nonzero bitmap is empty).
         assert_indexed_parity(&identifier, &mut scratch, &Fingerprint::from_columns(Vec::new()));
-        // NaN / ±0.0 / denormal / bucket-edge probes: the quantized
-        // and clustered routes must not reorder a single comparison.
+        // NaN / ±0.0 / denormal / threshold-edge probes: no route may
+        // reorder a single comparison.
         for (fixed, what) in adversarial_fixed_probes(&identifier) {
             assert_fixed_parity(&identifier, &mut scratch, &fixed, &what);
         }
@@ -267,7 +254,7 @@ proptest! {
     ) {
         let ds = class_dataset(&class_seeds, 5);
         let mut identifier = Trainer::new(quick_config()).train(&ds, 7).unwrap();
-        let mut scratch = ShardedScratch::new();
+        let mut scratch = CandidateScratch::new();
         for (round, new_seed) in new_seeds.iter().enumerate() {
             let new_fps: Vec<Fingerprint> = (0..5u32)
                 .map(|i| fp(&[new_seed + i, new_seed + 17, new_seed + 31]))
@@ -277,38 +264,11 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(identifier.bank_stats().forests, identifier.type_count());
             prop_assert!(identifier.bank_stats().indexed);
-            prop_assert_eq!(
-                identifier.bank_stats().quantized_forests,
-                identifier.bank_stats().forests,
-                "appended forests must quantize and stay proven"
-            );
             assert_indexed_parity(&identifier, &mut scratch, &new_fps[0]);
         }
         for tag in &probe_tags {
             assert_indexed_parity(&identifier, &mut scratch, &fp(&[*tag, tag + 17, tag + 31]));
         }
-        // Hot-first relocation is purely physical: re-laying the arena
-        // most-accepted-first must leave every candidate set — and the
-        // quantization / cluster statistics — untouched, and further
-        // appends must keep working on the relocated bank.
-        let before = identifier.bank_stats();
-        identifier.optimize_bank_layout();
-        let after = identifier.bank_stats();
-        prop_assert_eq!(after.forests, before.forests);
-        prop_assert_eq!(after.quantized_forests, before.quantized_forests);
-        prop_assert_eq!(after.cluster_groups, before.cluster_groups);
-        for tag in &probe_tags {
-            assert_indexed_parity(&identifier, &mut scratch, &fp(&[*tag, tag + 17, tag + 31]));
-        }
-        let post_fps: Vec<Fingerprint> = (0..5u32)
-            .map(|i| fp(&[40_000 + i, 40_017, 40_031]))
-            .collect();
-        identifier.add_device_type("PostLayout", &post_fps, 97).unwrap();
-        prop_assert_eq!(
-            identifier.bank_stats().quantized_forests,
-            identifier.bank_stats().forests
-        );
-        assert_indexed_parity(&identifier, &mut scratch, &post_fps[0]);
         for (fixed, what) in adversarial_fixed_probes(&identifier) {
             assert_fixed_parity(&identifier, &mut scratch, &fixed, &what);
         }
@@ -339,25 +299,13 @@ proptest! {
             .map(|i| fp(&[new_seed + i, new_seed + 17, new_seed + 31]))
             .collect();
         reloaded.add_device_type("Hotswap", &new_fps, 13).unwrap();
-        prop_assert_eq!(
-            reloaded.bank_stats().quantized_forests,
-            reloaded.bank_stats().forests,
-            "a reloaded-and-extended bank must re-prove every quantized forest"
-        );
-        // Publish a hot-first-relocated bank: the served epoch must be
-        // bit-identical to the interpreter like any other.
-        reloaded.optimize_bank_layout();
         prop_assert_eq!(cell.replace_identifier(reloaded).unwrap(), 2);
 
         let pinned = cell.load();
         let identifier = pinned.identifier();
         prop_assert_eq!(identifier.bank_stats().forests, identifier.type_count());
         prop_assert!(identifier.bank_stats().indexed);
-        prop_assert_eq!(
-            identifier.bank_stats().quantized_forests,
-            identifier.bank_stats().forests
-        );
-        let mut scratch = ShardedScratch::new();
+        let mut scratch = CandidateScratch::new();
         assert_indexed_parity(identifier, &mut scratch, &new_fps[0]);
         for tag in probe_tags {
             assert_indexed_parity(identifier, &mut scratch, &fp(&[tag, tag + 17, tag + 31]));

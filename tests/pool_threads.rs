@@ -1,14 +1,13 @@
 //! Thread accounting for the compute pool.
 //!
-//! The pool redesign's structural claim: all parallel execution —
-//! sharded scans, batch fan-out, the batch×shard product — runs on
-//! **one persistent set of pinned workers** sized when the
-//! [`ServiceCell`] is built, and on nothing else. These tests pin that
+//! The pool redesign's structural claim: all parallel execution (batch
+//! fan-out) runs on **one persistent set of pinned workers** sized when
+//! the [`ServiceCell`] is built, and on nothing else. These tests pin that
 //! with process-level evidence from `/proc/self/status`:
 //!
 //! * driving batches over a pool-equipped cell never raises the live
 //!   thread count above the baseline measured right after the pool
-//!   came up (no per-batch, per-shard or per-chunk spawning), and
+//!   came up (no per-batch or per-chunk spawning), and
 //! * hot-reload epoch swaps neither kill nor re-create workers — the
 //!   same pool instance (and the same thread count) survives every
 //!   swap, and dropping the last handle to a private pool joins all
@@ -114,13 +113,10 @@ fn batch_load_never_exceeds_the_configured_pool_size() {
     let spawns_before = iot_sentinel::pool::thread_spawns();
     let batch = probes(iot_sentinel::core::BATCH_CHUNK * 3 + 7);
     let service = cell.load();
-    let sequential = service.handle_batch_with(&batch, 1);
+    let sequential: Vec<_> = batch.iter().map(|fp| service.handle(fp)).collect();
     for round in 0..10 {
         let pooled = service.handle_batch_on(cell.pool(), &batch);
         assert_eq!(pooled, sequential, "round {round} diverged");
-        // The batch×shard product fans out on the SAME workers.
-        let sharded = service.handle_batch_sharded_on(cell.pool(), &batch, 2);
-        assert_eq!(sharded, sequential, "sharded round {round} diverged");
         let now = live_threads();
         if baseline > 0 {
             assert!(
@@ -160,7 +156,10 @@ fn epoch_swaps_keep_the_pool_and_drop_joins_its_workers() {
             assert_eq!(after_pool, before_pool + 2, "pool spun up its workers");
         }
         let batch = probes(40);
-        let expected = cell.load().handle_batch_with(&batch, 1);
+        let expected: Vec<_> = {
+            let service = cell.load();
+            batch.iter().map(|fp| service.handle(fp)).collect()
+        };
         for round in 0..3 {
             let fps: Vec<Fingerprint> = (0..12)
                 .map(|i| fp_bits(0b1 << (6 + round), &[3000 + 100 * round as u32 + i, 7, 8]))

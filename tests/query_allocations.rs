@@ -16,22 +16,19 @@
 //!   through the prefilter (query bitmap + cached default verdicts),
 //!   and that must not cost an allocation either — the zero-allocation
 //!   pins above now hold *for the indexed scan*.
-//! * The compute pool: parallel paths no longer spawn scoped threads
-//!   per call — sharded scans and batch fan-out run on persistent
-//!   pinned workers, so a warm pooled call is **zero heap
-//!   allocations** AND **zero thread spawns** (pinned by the
-//!   workspace-wide spawn ledger), and the pool's own accounting
-//!   reconciles: every task submitted was executed.
+//! * The compute pool: batch fan-out runs on persistent pinned
+//!   workers instead of spawning scoped threads per call, so a warm
+//!   pooled batch is **zero heap allocations** AND **zero thread
+//!   spawns** (pinned by the workspace-wide spawn ledger), and the
+//!   pool's own accounting reconciles: every task submitted was
+//!   executed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use iot_sentinel::core::{
-    CandidateScratch, IsolationClass, Severity, ShardedScratch, VulnerabilityRecord,
-};
+use iot_sentinel::core::{CandidateScratch, IsolationClass, Severity, VulnerabilityRecord};
 use iot_sentinel::fingerprint::{Dataset, Fingerprint, LabeledFingerprint, PacketFeatures};
-use iot_sentinel::ml::ShardScratch;
 use iot_sentinel::pool::{thread_spawns, ComputePool};
 use iot_sentinel::{Sentinel, SentinelBuilder};
 
@@ -247,134 +244,6 @@ fn warm_handle_is_allocation_free() {
     }
 }
 
-/// The 5-type dataset the sharded tests train on, so shard counts up
-/// to 4 are not clamped away.
-fn five_type_dataset() -> Dataset {
-    let mut ds = Dataset::new();
-    for (label, bits) in [
-        ("TypeA", 0b00001u32),
-        ("TypeB", 0b00010),
-        ("TypeC", 0b00100),
-        ("TypeD", 0b10000),
-        ("TypeE", 0b100000),
-    ] {
-        for i in 0..12u32 {
-            ds.push(LabeledFingerprint::new(
-                label,
-                fp_bits(bits, &[100 + i, 110, 120]),
-            ));
-        }
-    }
-    ds
-}
-
-#[test]
-fn pooled_sharded_scan_is_allocation_and_spawn_free() {
-    let _serial = serial();
-    // The sharded scan used to spawn scoped threads per call and was
-    // allowed their fixed per-spawn bookkeeping. On the compute pool
-    // the workers are persistent, so the pin tightens to zero: a warm
-    // pooled scan at ANY shard count allocates nothing and spawns
-    // nothing — the lanes live in the caller's scratch and the
-    // tickets in the pool's reused deques.
-    let s = SentinelBuilder::new()
-        .dataset(five_type_dataset())
-        .training_seed(4)
-        .build()
-        .unwrap();
-    let identifier = s.identifier();
-    let probe = fp_bits(0b001, &[104, 110, 120]);
-    let expected = identifier.identify(&probe);
-    let pool = ComputePool::new(3);
-    let mut scratch = CandidateScratch::new();
-    let mut lanes = ShardScratch::default();
-    // Grow every lane buffer and the pool's queues at the widest
-    // shard count before measuring.
-    for _ in 0..4 {
-        std::hint::black_box(identifier.identify_sharded_on(
-            &pool,
-            &probe,
-            4,
-            &mut scratch,
-            &mut lanes,
-        ));
-    }
-
-    let spawns_before = thread_spawns();
-    for shards in [1usize, 2, 3, 4] {
-        identifier.identify_sharded_on(&pool, &probe, shards, &mut scratch, &mut lanes);
-        let (allocs, result) = allocations_during(|| {
-            std::hint::black_box(identifier.identify_sharded_on(
-                &pool,
-                &probe,
-                shards,
-                &mut scratch,
-                &mut lanes,
-            ))
-        });
-        assert_eq!(
-            result.device_type(),
-            expected.device_type(),
-            "{shards}-shard identification diverged from the sequential result"
-        );
-        assert_eq!(
-            allocs, 0,
-            "a warm {shards}-shard pooled scan must not touch the heap"
-        );
-    }
-    assert_eq!(
-        thread_spawns(),
-        spawns_before,
-        "pooled scans must not spawn threads"
-    );
-    let counters = pool.counters();
-    assert_eq!(
-        counters.submitted, counters.executed,
-        "every task handed to the pool must have run"
-    );
-    assert!(
-        counters.submitted > 0,
-        "multi-shard scans must actually have used the pool"
-    );
-}
-
-#[test]
-fn small_bank_auto_sharding_is_inline_and_allocation_free() {
-    let _serial = serial();
-    // The auto-router sends banks below the sharding threshold through
-    // the plain inline scan: same results, zero allocations, zero
-    // spawns, and no pool traffic at all.
-    let s = SentinelBuilder::new()
-        .dataset(five_type_dataset())
-        .training_seed(4)
-        .build()
-        .unwrap();
-    let identifier = s.identifier();
-    let prefix_len = identifier.config().fixed_prefix_len;
-    let probe = fp_bits(0b001, &[104, 110, 120]).to_fixed_with(prefix_len);
-    let expected = identifier.classify_candidates(&probe);
-    let mut scratch = ShardedScratch::new();
-    for _ in 0..2 {
-        identifier.classify_candidates_sharded_into(&probe, 4, &mut scratch);
-    }
-    let spawns_before = thread_spawns();
-    for shards in [1usize, 2, 3, 4] {
-        let (allocs, ()) = allocations_during(|| {
-            identifier.classify_candidates_sharded_into(&probe, shards, &mut scratch)
-        });
-        assert_eq!(scratch.candidates(), expected.as_slice());
-        assert_eq!(
-            allocs, 0,
-            "a warm auto-routed {shards}-shard scan must not touch the heap"
-        );
-    }
-    assert_eq!(
-        thread_spawns(),
-        spawns_before,
-        "small banks must scan inline without spawning"
-    );
-}
-
 #[test]
 fn warm_pooled_batch_is_allocation_and_spawn_free() {
     let _serial = serial();
@@ -390,7 +259,7 @@ fn warm_pooled_batch_is_allocation_and_spawn_free() {
             fp_bits(bits, &[104, 110, 120])
         })
         .collect();
-    let sequential = service.handle_batch_with(&probes, 1);
+    let sequential: Vec<_> = probes.iter().map(|fp| service.handle(fp)).collect();
     let mut out = Vec::new();
     // Chunk→worker placement is racy, so a cold worker could warm its
     // thread-local query scratch inside the measured window. Warm
