@@ -7,11 +7,10 @@
 
 use std::time::Instant;
 
-use sentinel_editdist::fingerprint_distance;
 use sentinel_fingerprint::{Fingerprint, FingerprintExtractor};
 use sentinel_net::Packet;
 
-use crate::identifier::DeviceTypeIdentifier;
+use crate::identifier::{CandidateScratch, DeviceTypeIdentifier};
 
 /// Mean and standard deviation of a timed stage, in milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,14 +60,17 @@ impl std::fmt::Display for TimingStats {
 pub struct TimingReport {
     /// One binary Random Forest classification.
     pub single_classification: TimingStats,
-    /// One edit-distance computation between two full fingerprints.
+    /// One edit-distance computation between two full fingerprints:
+    /// the discrimination phase's time divided by the distances it
+    /// computed.
     pub single_discrimination: TimingStats,
     /// Fingerprint extraction from a captured packet sequence.
     pub extraction: TimingStats,
     /// Evaluating the full classifier bank on one fingerprint.
     pub full_classification: TimingStats,
     /// The discrimination phase of identifications that needed it
-    /// (all candidates × references).
+    /// (all candidates × references), through the identifier's served
+    /// stage two.
     pub discrimination_phase: TimingStats,
     /// Complete type identification (classification + discrimination).
     pub identification: TimingStats,
@@ -92,40 +94,30 @@ pub fn measure_identification(
     let mut distance_ops = 0usize;
     let types = identifier.known_types();
     let refs_per_type = identifier.config().references_per_type;
-    let variant = identifier.config().distance;
+    let mut scratch = CandidateScratch::new();
     for fp in test {
         let fixed = fp.to_fixed();
         // Full classifier bank.
         let t0 = Instant::now();
-        let candidates = identifier.classify_candidates(&fixed);
+        identifier.classify_candidates_into(&fixed, &mut scratch);
         full_cls.push(ms_since(t0));
-        // Per-classifier share (measured, not divided): time one
-        // representative classifier via a single-type candidate check.
-        if let Some(first_type) = types.first() {
-            if let Some(refs) = identifier.references_by_name(first_type) {
-                if let Some(reference) = refs.first() {
-                    let t0 = Instant::now();
-                    let _ = fingerprint_distance(fp, reference, variant);
-                    single_disc.push(ms_since(t0));
-                }
-            }
-        }
+        // Per-classifier share (measured, not divided up front): a
+        // second pass over the bank, split evenly.
         let t0 = Instant::now();
         let _ = identifier.classify_candidates(&fixed);
         let bank = ms_since(t0);
         single_cls.push(bank / types.len().max(1) as f64);
-        // Discrimination phase alone.
-        if candidates.len() > 1 {
+        // Discrimination phase alone: the served stage two over the
+        // candidates stage one just left in the scratch.
+        let candidates = scratch.candidates().len();
+        if candidates > 1 {
             let t0 = Instant::now();
-            for c in &candidates {
-                if let Some(refs) = identifier.references(*c) {
-                    for r in refs {
-                        let _ = fingerprint_distance(fp, r, variant);
-                    }
-                }
-            }
-            disc_phase.push(ms_since(t0));
-            distance_ops += candidates.len() * refs_per_type;
+            let _ = identifier.discriminate(fp, &mut scratch);
+            let phase = ms_since(t0);
+            let distances = candidates * refs_per_type;
+            disc_phase.push(phase);
+            single_disc.push(phase / distances.max(1) as f64);
+            distance_ops += distances;
         }
         // End to end.
         let t0 = Instant::now();

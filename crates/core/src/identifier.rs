@@ -3,11 +3,12 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use sentinel_editdist::dissimilarity_over;
+use sentinel_editdist::{dissimilarity_over, DistanceVariant, OsaScratch};
 use sentinel_fingerprint::{Dataset, Fingerprint, FixedFingerprint, FixedScratch, FEATURE_COUNT};
 use sentinel_ml::{CompiledBank, CompiledBankBuilder, ScanSnapshot};
 
 use crate::classifier::TypeClassifier;
+use crate::encoded::EncodedReferences;
 use crate::error::CoreError;
 use crate::registry::{TypeId, TypeRegistry};
 use crate::trainer::{fnv1a, negative_indices, reference_indices, IdentifierConfig};
@@ -75,15 +76,24 @@ impl Identification {
 }
 
 /// Reusable per-thread workspace for the identification hot path: the
-/// F′ conversion buffers, the accepted-candidate list and the
-/// discrimination score list all live here, so a warm
-/// [`DeviceTypeIdentifier::identify_with`] call performs **zero** heap
-/// allocations on the common single-candidate (and unknown) outcomes.
+/// F′ conversion buffers, the accepted-candidate list, the encoded
+/// query with its edit-distance kernel scratch and the discrimination
+/// score list all live here, so a warm identification allocates
+/// nothing but the score vector a multi-candidate
+/// [`DeviceTypeIdentifier::identify_with`] returns.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateScratch {
     fixed: FixedScratch,
     candidates: Vec<TypeId>,
+    /// The query's packet word over the identifier's alphabet.
+    query_symbols: Vec<u32>,
+    osa: OsaScratch,
     scores: Vec<(TypeId, f64)>,
+}
+
+thread_local! {
+    /// The scratch behind the entry points that take none.
+    static QUERY_SCRATCH: RefCell<CandidateScratch> = RefCell::new(CandidateScratch::new());
 }
 
 impl CandidateScratch {
@@ -212,6 +222,10 @@ pub struct DeviceTypeIdentifier {
     /// the bank's forest `i`.
     compiled: CompiledBank,
     compiled_ids: Vec<TypeId>,
+    /// Stage two's packet-word alphabet and pre-encoded references,
+    /// derived from `models` at the same sync points as `compiled` and
+    /// indexed like it. Never persisted.
+    encoded: EncodedReferences,
 }
 
 impl DeviceTypeIdentifier {
@@ -223,13 +237,15 @@ impl DeviceTypeIdentifier {
             pool: Vec::new(),
             compiled: CompiledBank::default(),
             compiled_ids: Vec::new(),
+            encoded: EncodedReferences::default(),
         }
     }
 
-    /// Recompiles the flat-arena bank from the current models. Must be
-    /// called after every batch of model mutations so queries always
-    /// run against the compiled representation (the `classify_into`
-    /// debug assertion catches forgotten rebuilds). Only fails for a
+    /// Recompiles the flat-arena bank — and re-derives stage two's
+    /// alphabet and encoded references — from the current models. Must
+    /// be called after every batch of model mutations so queries always
+    /// run against the compiled representation (the query paths' debug
+    /// assertion catches forgotten rebuilds). Only fails for a
     /// non-binary classifier forest, which the training paths cannot
     /// produce (the persistence path validates before reaching here).
     ///
@@ -239,12 +255,15 @@ impl DeviceTypeIdentifier {
     pub(crate) fn rebuild_compiled(&mut self) -> Result<(), CoreError> {
         let mut builder = CompiledBankBuilder::with_stripes(FEATURE_COUNT as u32);
         let mut ids = Vec::with_capacity(self.models.len());
+        let mut encoded = EncodedReferences::default();
         for (id, model) in &self.models {
             builder.push(model.classifier.forest(), self.config.accept_threshold)?;
             ids.push(*id);
+            encoded.push_type(&model.references);
         }
         self.compiled = builder.finish();
         self.compiled_ids = ids;
+        self.encoded = encoded;
         Ok(())
     }
 
@@ -271,15 +290,17 @@ impl DeviceTypeIdentifier {
             Ok(_) => {
                 self.compiled = builder.finish();
                 self.compiled_ids.push(id);
+                self.encoded.push_type(&model.references);
                 Ok(())
             }
             // The taken bank was dropped with the failed builder; a
             // full rebuild restores models⇄bank consistency (or
-            // reports the same error). Clear the id column first so
-            // that even a failing rebuild leaves the (empty) bank and
-            // the id list mutually consistent.
+            // reports the same error). Clear the id column and the
+            // encoded references first so that even a failing rebuild
+            // leaves the (empty) derived state mutually consistent.
             Err(_) => {
                 self.compiled_ids.clear();
+                self.encoded = EncodedReferences::default();
                 self.rebuild_compiled()
             }
         }
@@ -592,13 +613,19 @@ impl DeviceTypeIdentifier {
             .collect()
     }
 
-    fn classify_into(&self, fixed: &FixedFingerprint, out: &mut Vec<TypeId>) {
-        debug_assert_eq!(
-            self.compiled_ids.len(),
-            self.models.len(),
-            "compiled bank out of sync with models — a mutation path \
-             forgot to call rebuild_compiled()"
+    /// Debug-build check that the derived state (compiled bank, its id
+    /// column, the encoded references) covers exactly the models.
+    fn debug_assert_compiled_in_sync(&self) {
+        debug_assert!(
+            self.compiled_ids.len() == self.models.len()
+                && self.encoded.type_count() == self.models.len(),
+            "compiled bank or encoded references out of sync with models — \
+             a mutation path forgot to call rebuild_compiled()"
         );
+    }
+
+    fn classify_into(&self, fixed: &FixedFingerprint, out: &mut Vec<TypeId>) {
+        self.debug_assert_compiled_in_sync();
         out.clear();
         let sample = fixed.as_slice();
         let ids = &self.compiled_ids;
@@ -620,94 +647,115 @@ impl DeviceTypeIdentifier {
     ///
     /// Stage one runs the compiled classifier bank on F′; stage two
     /// discriminates multiple matches with edit distance over F. Uses
-    /// a per-thread [`CandidateScratch`], so the warm
-    /// single-candidate/unknown path performs **zero** heap
-    /// allocations end to end (each worker thread owns its own
-    /// scratch, so concurrent identification never contends). Callers
+    /// a per-thread [`CandidateScratch`] (each worker thread owns its
+    /// own, so concurrent identification never contends). Callers
     /// that manage their own scratch lifetimes should use
     /// [`DeviceTypeIdentifier::identify_with`] directly.
     pub fn identify(&self, fingerprint: &Fingerprint) -> Identification {
-        thread_local! {
-            static QUERY_SCRATCH: RefCell<CandidateScratch> =
-                RefCell::new(CandidateScratch::new());
-        }
         QUERY_SCRATCH.with(|scratch| self.identify_with(fingerprint, &mut scratch.borrow_mut()))
     }
 
     /// [`DeviceTypeIdentifier::identify`] against a caller-owned
-    /// scratch: the F′ conversion, the candidate list and the
-    /// discrimination scores all reuse `scratch`'s buffers. On the
-    /// single-candidate and unknown outcomes the returned
-    /// [`Identification`] owns no heap data, so a warm call allocates
-    /// nothing at all; when discrimination runs, only the returned
-    /// score vector is allocated.
+    /// scratch: the F′ conversion, the candidate list, the encoded
+    /// query and the discrimination scores all reuse `scratch`'s
+    /// buffers. On the single-candidate and unknown outcomes the
+    /// returned [`Identification`] owns no heap data, so a warm call
+    /// allocates nothing at all; when discrimination runs, the one
+    /// allocation is the returned copy of the score list.
     pub fn identify_with(
         &self,
         fingerprint: &Fingerprint,
         scratch: &mut CandidateScratch,
     ) -> Identification {
-        debug_assert_eq!(
-            self.compiled_ids.len(),
-            self.models.len(),
-            "compiled bank out of sync with models — a mutation path \
-             forgot to call rebuild_compiled()"
-        );
+        match self.resolve_with(fingerprint, scratch) {
+            None => Identification::Unknown,
+            Some(device_type) => Identification::Known {
+                device_type,
+                accepted: scratch.candidates.len(),
+                // Empty unless discrimination ran, and cloning an
+                // empty vector allocates nothing.
+                scores: scratch.scores.clone(),
+            },
+        }
+    }
+
+    /// What a [`crate::ServiceResponse`] needs of an identification —
+    /// the winning type (`None`: unknown device) and how many
+    /// classifiers accepted — resolved in the per-thread scratch
+    /// without materialising an [`Identification`]: allocation-free
+    /// however many candidates were discriminated.
+    pub(crate) fn resolve(&self, fingerprint: &Fingerprint) -> (Option<TypeId>, usize) {
+        QUERY_SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            let winner = self.resolve_with(fingerprint, scratch);
+            (winner, scratch.candidates.len())
+        })
+    }
+
+    /// Both stages against `scratch`, which afterwards holds the
+    /// accepted candidates and (when more than one accepted) their
+    /// ranked scores; returns the winner.
+    fn resolve_with(
+        &self,
+        fingerprint: &Fingerprint,
+        scratch: &mut CandidateScratch,
+    ) -> Option<TypeId> {
+        let fx = scratch
+            .fixed
+            .fill(fingerprint, self.config.fixed_prefix_len);
+        self.classify_into(fx, &mut scratch.candidates);
+        self.discriminate(fingerprint, scratch)
+    }
+
+    /// Stage two over `scratch.candidates`: the lone candidate, or the
+    /// candidate of lowest dissimilarity to its reference
+    /// fingerprints, with the ranking left in `scratch.scores`.
+    ///
+    /// The paper's distance is served from the pre-encoded references
+    /// — the query is encoded once and loaded as the kernel's pattern
+    /// for all `candidates × references` distances; the ablation
+    /// variants run the generic fingerprint-level path.
+    pub(crate) fn discriminate(
+        &self,
+        fingerprint: &Fingerprint,
+        scratch: &mut CandidateScratch,
+    ) -> Option<TypeId> {
+        self.debug_assert_compiled_in_sync();
         let CandidateScratch {
-            fixed,
             candidates,
+            query_symbols,
+            osa,
             scores,
+            ..
         } = scratch;
         // Clearing up front keeps the scratch accessors honest: after
         // a query that needed no discrimination, `scores()` is empty
         // rather than echoing an earlier query's ranking.
         scores.clear();
-        let fx = fixed.fill(fingerprint, self.config.fixed_prefix_len);
-        {
-            candidates.clear();
-            let sample = fx.as_slice();
-            let ids = &self.compiled_ids;
-            self.compiled
-                .for_each_accepting(sample, |index| candidates.push(ids[index]));
+        if candidates.len() < 2 {
+            return candidates.first().copied();
         }
-        self.stage_two(fingerprint, candidates, scores)
-    }
-
-    /// The stage-two tail of [`DeviceTypeIdentifier::identify_with`]:
-    /// resolve the accepted candidate set to an [`Identification`], running
-    /// edit-distance discrimination only when more than one classifier
-    /// accepted. `scores` must arrive cleared.
-    fn stage_two(
-        &self,
-        fingerprint: &Fingerprint,
-        candidates: &[TypeId],
-        scores: &mut Vec<(TypeId, f64)>,
-    ) -> Identification {
-        match candidates.len() {
-            0 => Identification::Unknown,
-            1 => Identification::Known {
-                device_type: candidates[0],
-                accepted: 1,
-                scores: Vec::new(),
-            },
-            accepted => {
-                for id in candidates.iter() {
-                    let score = dissimilarity_over(
-                        fingerprint,
-                        &self.models[id].references,
-                        self.config.distance,
-                    );
-                    scores.push((*id, score));
-                }
-                // Stable ascending sort: ties break toward the earlier
-                // (lower-id) candidate, like `rank_candidates`.
-                scores.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-                Identification::Known {
-                    device_type: scores[0].0,
-                    accepted,
-                    scores: scores.clone(),
-                }
+        match self.config.distance {
+            DistanceVariant::Osa => {
+                let mut query = self.encoded.load(fingerprint, query_symbols, osa);
+                scores.extend(candidates.iter().map(|id| {
+                    // The bank mirrors the model map's ascending ids.
+                    let forest = self
+                        .compiled_ids
+                        .binary_search(id)
+                        .expect("candidates come from the compiled bank");
+                    (*id, query.dissimilarity(forest))
+                }));
             }
+            variant => scores.extend(candidates.iter().map(|id| {
+                let references = &self.models[id].references;
+                (*id, dissimilarity_over(fingerprint, references, variant))
+            })),
         }
+        // Stable ascending sort: ties break toward the earlier
+        // (lower-id) candidate, like `rank_candidates`.
+        scores.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        Some(scores[0].0)
     }
 }
 
@@ -1146,5 +1194,236 @@ mod tests {
         for tid in ids {
             assert!(id.registry().try_name(tid).is_some());
         }
+    }
+
+    // ---- stage two: the served path against the textbook oracle ----
+
+    /// A look-alike family: every member shares the 12-packet prefix F′
+    /// is cut from (so every member's classifier accepts every
+    /// member's fingerprints) and differs only in the tail that stage
+    /// two reads. `tail` is the member's own word range; `long`
+    /// members run past 64 columns.
+    fn twin_fp(tail: u32, long: bool, variant: u32) -> Fingerprint {
+        let mut tags: Vec<u32> = (0..12).map(|j| 100 + 10 * j).collect();
+        tags[2] += variant % 2;
+        let len = if long { 60 } else { 30 };
+        let mut suffix: Vec<u32> = (0..len).map(|j| tail + j % 20).collect();
+        let at = (variant as usize * 7) % (len as usize - 1);
+        suffix.swap(at, at + 1);
+        if variant.is_multiple_of(3) {
+            suffix.remove(at / 2);
+        }
+        // A word of the variant's own, so more variants in the training
+        // set mean a larger alphabet.
+        suffix.insert(at / 3, tail + 500 + variant);
+        tags.extend(suffix);
+        fp(&tags)
+    }
+
+    fn twin_dataset(members: &[(&'static str, u32, bool)], variants: u32) -> Dataset {
+        let mut ds = Dataset::new();
+        for i in 0..20u32 {
+            // Far types first, so that labels intern in the same order
+            // whether a member is trained here or added later.
+            for far in 0..12u32 {
+                ds.push(LabeledFingerprint::new(
+                    format!("Far{far:02}").leak() as &str,
+                    fp(&[900 + 50 * far, 910 + 50 * far, 920 + 50 * far]),
+                ));
+            }
+            for (label, tail, long) in members {
+                ds.push(LabeledFingerprint::new(
+                    *label,
+                    twin_fp(*tail, *long, i % variants),
+                ));
+            }
+        }
+        ds
+    }
+
+    /// Stage two as the paper states it, from parts that share nothing
+    /// with the served path: the generic DP over 23-feature words, the
+    /// normalised terms summed in reference order, a stable sort.
+    fn oracle_ranking(
+        id: &DeviceTypeIdentifier,
+        probe: &Fingerprint,
+        candidates: &[TypeId],
+    ) -> Vec<(TypeId, f64)> {
+        let mut scores: Vec<(TypeId, f64)> = candidates
+            .iter()
+            .map(|c| {
+                let score = id
+                    .references(*c)
+                    .unwrap()
+                    .iter()
+                    .map(|r| sentinel_editdist::normalized_osa(probe.columns(), r.columns()))
+                    .sum::<f64>();
+                // The fingerprint-level entry point is the same number.
+                let over =
+                    dissimilarity_over(probe, id.references(*c).unwrap(), DistanceVariant::Osa);
+                assert_eq!(over.to_bits(), score.to_bits());
+                (*c, score)
+            })
+            .collect();
+        scores.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        scores
+    }
+
+    fn bits(scores: &[(TypeId, f64)]) -> Vec<(TypeId, u64)> {
+        scores.iter().map(|(id, s)| (*id, s.to_bits())).collect()
+    }
+
+    /// Checks `answer` (from any identify entry point) against the
+    /// oracle over the interpreter's candidate set, then forces *every*
+    /// type through stage two so the edge probes (which no classifier
+    /// accepts) are scored too. Returns how many probes discriminated.
+    fn assert_stage_two_matches_oracle(
+        id: &DeviceTypeIdentifier,
+        probes: &[Fingerprint],
+        answer: impl Fn(&Fingerprint) -> Identification,
+    ) -> usize {
+        let mut discriminated = 0;
+        let mut scratch = CandidateScratch::new();
+        for probe in probes {
+            let fixed = probe.to_fixed_with(id.config().fixed_prefix_len);
+            let candidates = id.classify_candidates_interpreted(&fixed);
+            let expected = match candidates.len() {
+                0 => Identification::Unknown,
+                1 => Identification::Known {
+                    device_type: candidates[0],
+                    accepted: 1,
+                    scores: Vec::new(),
+                },
+                accepted => {
+                    discriminated += 1;
+                    let scores = oracle_ranking(id, probe, &candidates);
+                    Identification::Known {
+                        device_type: scores[0].0,
+                        accepted,
+                        scores,
+                    }
+                }
+            };
+            let got = answer(probe);
+            assert_eq!(got, expected, "{} columns", probe.len());
+            if let (
+                Identification::Known { scores: got, .. },
+                Identification::Known {
+                    scores: expected, ..
+                },
+            ) = (&got, &expected)
+            {
+                assert_eq!(bits(got), bits(expected));
+            }
+            assert_eq!(id.identify_with(probe, &mut scratch), expected);
+
+            scratch.candidates = id.compiled_ids.clone();
+            let all = oracle_ranking(id, probe, &scratch.candidates);
+            assert_eq!(id.discriminate(probe, &mut scratch), Some(all[0].0));
+            assert_eq!(
+                bits(scratch.scores()),
+                bits(&all),
+                "{} columns",
+                probe.len()
+            );
+        }
+        discriminated
+    }
+
+    fn stage_two_probes() -> Vec<Fingerprint> {
+        let mut probes = Vec::new();
+        for variant in [0, 1, 2, 5, 23, 24, 31] {
+            probes.push(twin_fp(1000, false, variant));
+            probes.push(twin_fp(2000, false, variant));
+            // Past 64 columns: the DP fallback as the pattern, and (on
+            // the short probes above) long references as the text.
+            probes.push(twin_fp(3000, true, variant));
+            probes.push(twin_fp(1000, true, variant));
+        }
+        // Accepted like a twin (the sizes sit between the same
+        // thresholds) yet sharing no word with any reference.
+        let alien: Vec<u32> = (0..12).map(|j| 101 + 10 * j).chain(5000..5030).collect();
+        probes.push(fp(&alien));
+        probes.push(Fingerprint::default());
+        probes.push(fp(&[900, 910, 920]));
+        probes.push(fp(&[7]));
+        probes
+    }
+
+    #[test]
+    fn served_stage_two_equals_the_oracle_across_the_model_lifecycle() {
+        use crate::cell::ServiceCell;
+        use crate::service::IoTSecurityService;
+        use crate::vulnerability::VulnerabilityDatabase;
+
+        let probes = stage_two_probes();
+        let members = [("TwinOne", 1000, false), ("TwinThree", 3000, true)];
+        let mut id = Trainer::default()
+            .train(&twin_dataset(&members, 20), 3)
+            .unwrap();
+        assert!(id.references_by_name("TwinThree").unwrap()[0].len() > 64);
+        let ran = assert_stage_two_matches_oracle(&id, &probes, |p| id.identify(p));
+        assert!(ran >= 14, "the twins must co-accept ({ran} discriminated)");
+
+        // Incremental add: the append path extends the alphabet in
+        // place, so references encoded before it must still mean the
+        // same words, and the newcomer's own words must now match.
+        let alphabet_before = id.encoded.alphabet_len();
+        let newcomer: Vec<Fingerprint> = (0..20).map(|i| twin_fp(2000, false, i)).collect();
+        let two = id.add_device_type("TwinTwo", &newcomer, 5).unwrap();
+        assert_eq!(id.compiled_ids.last(), Some(&two), "rode the append path");
+        assert!(id.encoded.alphabet_len() >= alphabet_before + 20);
+        assert_stage_two_matches_oracle(&id, &probes, |p| id.identify(p));
+        let own = id.references(two).unwrap()[0].clone();
+        let mut scratch = CandidateScratch::new();
+        scratch.candidates = id.compiled_ids.clone();
+        assert_eq!(id.discriminate(&own, &mut scratch), Some(two));
+        assert!(
+            scratch.scores()[0].1 < 4.0,
+            "one of the five terms is an exact match"
+        );
+
+        // Persist round trip: the document carries no derived state,
+        // the loaded identifier re-derives it and answers the same.
+        let mut doc = Vec::new();
+        crate::persist::write_identifier(&mut doc, &id).unwrap();
+        let loaded = crate::persist::read_identifier(doc.as_slice()).unwrap();
+        assert_eq!(loaded.encoded.alphabet_len(), id.encoded.alphabet_len());
+        assert_stage_two_matches_oracle(&loaded, &probes, |p| loaded.identify(p));
+        for probe in &probes {
+            assert_eq!(loaded.identify(probe), id.identify(probe));
+        }
+
+        // Hot reload to a model with a *smaller* alphabet, answered on
+        // this thread — whose thread-local scratch still holds the
+        // match table sized for the larger one.
+        // (The registry must extend the served one, so the type this
+        // model does not train is interned all the same.)
+        let mut narrow = Trainer::default()
+            .train(&twin_dataset(&members, 2), 3)
+            .unwrap();
+        narrow.registry_mut().intern("TwinTwo");
+        assert!(narrow.encoded.alphabet_len() < loaded.encoded.alphabet_len());
+        let cell = ServiceCell::new(IoTSecurityService::new(
+            loaded,
+            VulnerabilityDatabase::new(),
+        ));
+        let before = cell.load();
+        assert_stage_two_matches_oracle(before.identifier(), &probes, |p| {
+            before.handle_detailed(p).1
+        });
+        cell.replace(IoTSecurityService::new(
+            narrow,
+            VulnerabilityDatabase::new(),
+        ))
+        .unwrap();
+        let after = cell.load();
+        assert_eq!(after.epoch(), 2);
+        let ran = assert_stage_two_matches_oracle(after.identifier(), &probes, |p| {
+            let (response, identification) = after.handle_detailed(p);
+            assert_eq!(response, after.handle(p));
+            identification
+        });
+        assert!(ran >= 14);
     }
 }

@@ -45,6 +45,7 @@
 
 pub mod cell;
 pub mod classifier;
+mod encoded;
 pub mod error;
 pub mod eval;
 pub mod identifier;

@@ -149,26 +149,33 @@ impl IoTSecurityService {
     /// The single response-assembly path shared by [`Self::handle`]
     /// and [`Self::handle_detailed`]: identification outcome →
     /// assessment → response. Allocation-free.
-    fn respond(&self, identification: &Identification) -> ServiceResponse {
-        let device_type = identification.device_type();
+    fn respond(&self, device_type: Option<TypeId>, accepted: usize) -> ServiceResponse {
         ServiceResponse {
             device_type,
             isolation: self.vulnerabilities.assess(device_type),
-            needed_discrimination: identification.needed_discrimination(),
+            needed_discrimination: accepted > 1,
         }
     }
 
     /// Handles one fingerprint query from a Security Gateway:
-    /// identify, assess, map to an isolation class.
+    /// identify, assess, map to an isolation class. Winner and
+    /// accepted count come straight from the per-thread scratch, so a
+    /// warm call performs no heap allocation whether or not
+    /// discrimination ran.
     pub fn handle(&self, fingerprint: &Fingerprint) -> ServiceResponse {
-        self.respond(&self.identifier.identify(fingerprint))
+        let (device_type, accepted) = self.identifier.resolve(fingerprint);
+        self.respond(device_type, accepted)
     }
 
     /// Handles a query and also returns the raw identification (for
     /// evaluation harnesses that need candidate sets and scores).
     pub fn handle_detailed(&self, fingerprint: &Fingerprint) -> (ServiceResponse, Identification) {
         let identification = self.identifier.identify(fingerprint);
-        (self.respond(&identification), identification)
+        let response = self.respond(
+            identification.device_type(),
+            identification.accepted_candidates(),
+        );
+        (response, identification)
     }
 
     /// Handles a batch of fingerprint queries, producing one response

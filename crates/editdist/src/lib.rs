@@ -10,9 +10,30 @@
 //! length to `[0, 1]`.
 //!
 //! The insert/delete/substitute/adjacent-transpose operation set is the
-//! *optimal string alignment* (OSA) variant ([`osa`]); the unrestricted
+//! *optimal string alignment* (OSA) variant; the unrestricted
 //! Damerau-Levenshtein variant ([`damerau`]) and plain Levenshtein are
 //! provided for the distance-variant ablation.
+//!
+//! OSA exists twice, on purpose:
+//!
+//! * [`osa`] is the textbook three-row DP, generic over any
+//!   `T: PartialEq` — the oracle. Nothing on the query path calls it.
+//! * [`symbol`] is what is served: packet words interned to dense `u32`
+//!   symbols ([`PacketAlphabet`]), the query loaded once as the pattern
+//!   of a reusable [`OsaScratch`], and every reference scored by a
+//!   single-`u64` bit-parallel kernel (Hyyrö's OSA extension of Myers'
+//!   bit-vector algorithm; scratch-row DP past 64 symbols) — no
+//!   allocation, ≈ 0.3 µs per distance where the generic DP takes
+//!   ≈ 12 µs. `sentinel-core` keeps a model's references pre-encoded
+//!   and drives this module directly; the fingerprint-level entry
+//!   points ([`fingerprint_distance`], [`dissimilarity_over`],
+//!   [`dissimilarity_score`]) run the same kernel by encoding their
+//!   arguments on the fly.
+//!
+//! The kernel is proven equal to the oracle exhaustively on short
+//! strings and by property test across the 64-symbol boundary
+//! (`cargo test -p sentinel-editdist --release` runs the full case
+//! count).
 //!
 //! # Example
 //!
@@ -32,8 +53,10 @@ pub mod damerau;
 pub mod osa;
 pub mod packet_word;
 pub mod score;
+pub mod symbol;
 
 pub use damerau::damerau_levenshtein;
 pub use osa::{levenshtein, normalized_osa, osa_distance};
 pub use packet_word::{fingerprint_distance, DistanceVariant};
 pub use score::{dissimilarity_over, dissimilarity_score, rank_candidates};
+pub use symbol::{OsaPattern, OsaScratch, PacketAlphabet, NO_SYMBOL};

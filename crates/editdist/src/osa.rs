@@ -1,12 +1,16 @@
 //! Optimal string alignment (restricted Damerau-Levenshtein) and plain
 //! Levenshtein distances, generic over the symbol type.
+//!
+//! [`osa_distance`] is the textbook reference: the served kernel in
+//! [`crate::symbol`] is proven equal to it, and nothing on the query
+//! path calls it.
 
 /// Edit distance with insertion, deletion, substitution and **adjacent
 /// transposition** — the exact operation set of the paper — under the
 /// OSA restriction that no substring is edited twice.
 ///
-/// Runs in `O(|a|·|b|)` time and `O(min steps)`… rather, three rolling
-/// rows of `O(|b|)` space.
+/// Runs in `O(|a|·|b|)` time and, with three rolling rows, `O(|b|)`
+/// space.
 ///
 /// # Examples
 ///

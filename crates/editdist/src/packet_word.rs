@@ -7,12 +7,18 @@
 //!
 //! [`PacketFeatures`](sentinel_fingerprint::PacketFeatures) derives
 //! `Eq` over all 23 features, so the generic distances apply directly
-//! to fingerprint columns.
+//! to fingerprint columns — the ablation variants do exactly that. The
+//! paper's variant ([`DistanceVariant::Osa`]) runs the symbol kernel of
+//! [`crate::symbol`] instead, over an alphabet thrown together from
+//! the first argument's words.
+
+use std::cell::RefCell;
 
 use sentinel_fingerprint::Fingerprint;
 
 use crate::damerau::damerau_levenshtein;
-use crate::osa::{levenshtein, osa_distance};
+use crate::osa::levenshtein;
+use crate::symbol::{OsaScratch, PacketAlphabet};
 
 /// Which edit-distance variant to use on packet words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,16 +56,73 @@ pub enum DistanceVariant {
 /// assert_eq!(fingerprint_distance(&a, &b, DistanceVariant::Levenshtein), 0.5);
 /// ```
 pub fn fingerprint_distance(a: &Fingerprint, b: &Fingerprint, variant: DistanceVariant) -> f64 {
+    let d = match variant {
+        // A one-term sum is that term: the sum starts from a zero and
+        // no normalised distance is `-0.0`.
+        DistanceVariant::Osa => return osa_sum(a, std::iter::once(b)),
+        DistanceVariant::FullDamerau => damerau_levenshtein(a.columns(), b.columns()),
+        DistanceVariant::Levenshtein => levenshtein(a.columns(), b.columns()),
+    };
     let longest = a.len().max(b.len());
     if longest == 0 {
         return 0.0;
     }
-    let d = match variant {
-        DistanceVariant::Osa => osa_distance(a.columns(), b.columns()),
-        DistanceVariant::FullDamerau => damerau_levenshtein(a.columns(), b.columns()),
-        DistanceVariant::Levenshtein => levenshtein(a.columns(), b.columns()),
-    };
     d as f64 / longest as f64
+}
+
+/// Sum of the normalised distances from `unknown` to each reference,
+/// in reference order — the body of every `dissimilarity_*` entry
+/// point.
+pub(crate) fn distance_sum<'a>(
+    unknown: &Fingerprint,
+    references: impl Iterator<Item = &'a Fingerprint>,
+    variant: DistanceVariant,
+) -> f64 {
+    match variant {
+        DistanceVariant::Osa => osa_sum(unknown, references),
+        _ => references
+            .map(|r| fingerprint_distance(unknown, r, variant))
+            .sum(),
+    }
+}
+
+/// Buffers of the fingerprint-level OSA entry points, which get bare
+/// fingerprints and so encode both sides on every call.
+#[derive(Default)]
+struct OnTheFly {
+    alphabet: PacketAlphabet,
+    osa: OsaScratch,
+    pattern: Vec<u32>,
+    text: Vec<u32>,
+}
+
+thread_local! {
+    static ON_THE_FLY: RefCell<OnTheFly> = RefCell::new(OnTheFly::default());
+}
+
+/// [`distance_sum`] for the paper's variant, through the symbol kernel.
+/// The alphabet is `unknown`'s own words: it is the pattern, loaded
+/// once, and a reference word it lacks can match nothing in it.
+fn osa_sum<'a>(unknown: &Fingerprint, references: impl Iterator<Item = &'a Fingerprint>) -> f64 {
+    ON_THE_FLY.with(|buffers| {
+        let OnTheFly {
+            alphabet,
+            osa,
+            pattern,
+            text,
+        } = &mut *buffers.borrow_mut();
+        alphabet.clear();
+        pattern.clear();
+        alphabet.intern_into(unknown, pattern);
+        let mut loaded = osa.pattern(pattern, alphabet.len());
+        references
+            .map(|r| {
+                text.clear();
+                alphabet.encode_into(r, text);
+                loaded.normalized(text)
+            })
+            .sum()
+    })
 }
 
 #[cfg(test)]

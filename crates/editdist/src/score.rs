@@ -8,7 +8,7 @@
 
 use sentinel_fingerprint::Fingerprint;
 
-use crate::packet_word::{fingerprint_distance, DistanceVariant};
+use crate::packet_word::{distance_sum, DistanceVariant};
 
 /// Sums the normalised distances from `unknown` to each reference
 /// fingerprint. With `k` references the score lies in `[0, k]` (the
@@ -38,10 +38,7 @@ pub fn dissimilarity_score(
     references: &[&Fingerprint],
     variant: DistanceVariant,
 ) -> f64 {
-    references
-        .iter()
-        .map(|r| fingerprint_distance(unknown, r, variant))
-        .sum()
+    distance_sum(unknown, references.iter().copied(), variant)
 }
 
 /// [`dissimilarity_score`] over a slice of owned reference
@@ -53,10 +50,7 @@ pub fn dissimilarity_over(
     references: &[Fingerprint],
     variant: DistanceVariant,
 ) -> f64 {
-    references
-        .iter()
-        .map(|r| fingerprint_distance(unknown, r, variant))
-        .sum()
+    distance_sum(unknown, references.iter(), variant)
 }
 
 /// Scores `unknown` against every candidate's reference set and returns
@@ -121,6 +115,48 @@ mod tests {
             dissimilarity_score(&unknown, &borrowed, DistanceVariant::Osa),
         );
         assert_eq!(dissimilarity_over(&unknown, &[], DistanceVariant::Osa), 0.0);
+    }
+
+    #[test]
+    fn osa_entry_points_equal_the_generic_oracle_bit_for_bit() {
+        use crate::osa::normalized_osa;
+        use crate::packet_word::fingerprint_distance;
+        // Repeats, transpositions, words the unknown lacks, an empty
+        // word and one past 64 columns (the DP fallback), scored back
+        // to back through the same thread-local buffers.
+        let long: Vec<u32> = (0..70).map(|i| i % 9).collect();
+        let mut long_swapped = long.clone();
+        long_swapped.swap(10, 11);
+        long_swapped.truncate(66);
+        let words: Vec<Fingerprint> = [
+            &[1, 2, 3, 2, 1][..],
+            &[2, 1, 3, 1, 2],
+            &[7, 8, 9],
+            &[],
+            &[1, 1, 1, 1],
+            &long,
+            &long_swapped,
+        ]
+        .iter()
+        .map(|tags| fp(tags))
+        .collect();
+        let generic = |a: &Fingerprint, b: &Fingerprint| normalized_osa(a.columns(), b.columns());
+        for unknown in &words {
+            for reference in &words {
+                assert_eq!(
+                    fingerprint_distance(unknown, reference, DistanceVariant::Osa).to_bits(),
+                    generic(unknown, reference).to_bits(),
+                );
+            }
+            let expected: f64 = words.iter().map(|r| generic(unknown, r)).sum();
+            let borrowed: Vec<&Fingerprint> = words.iter().collect();
+            for score in [
+                dissimilarity_over(unknown, &words, DistanceVariant::Osa),
+                dissimilarity_score(unknown, &borrowed, DistanceVariant::Osa),
+            ] {
+                assert_eq!(score.to_bits(), expected.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -824,30 +824,17 @@ mod tests {
 
     #[test]
     fn drop_joins_all_workers() {
-        let live = |name: &str| -> usize {
-            // Count threads in this process via /proc; fall back to 0
-            // lets the assertion below degrade to spawn accounting.
-            std::fs::read_to_string("/proc/self/status")
-                .ok()
-                .and_then(|s| {
-                    s.lines()
-                        .find(|l| l.starts_with(name))
-                        .and_then(|l| l.split_whitespace().nth(1))
-                        .and_then(|n| n.parse().ok())
-                })
-                .unwrap_or(0)
-        };
-        let before = live("Threads:");
-        {
-            let pool = ComputePool::new(4);
-            pool.for_each(8, |_| {}).unwrap();
-            if before > 0 {
-                assert_eq!(live("Threads:"), before + 4);
-            }
-        }
-        if before > 0 {
-            assert_eq!(live("Threads:"), before, "drop must join every worker");
-        }
+        // Each worker owns exactly one `Arc<Shared>` for its whole life
+        // (moved into `worker_loop`, dropped when it returns), so the
+        // strong count is a live-worker counter of *this* pool — unlike
+        // the process-wide `Threads:` line, which sibling tests running
+        // in parallel move.
+        let pool = ComputePool::new(4);
+        let shared = Arc::clone(&pool.shared);
+        pool.for_each(8, |_| {}).unwrap();
+        assert_eq!(Arc::strong_count(&shared), 2 + 4, "pool + probe + workers");
+        drop(pool);
+        assert_eq!(Arc::strong_count(&shared), 1, "drop must join every worker");
     }
 
     #[test]

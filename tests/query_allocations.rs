@@ -16,6 +16,13 @@
 //!   through the prefilter (query bitmap + cached default verdicts),
 //!   and that must not cost an allocation either — the zero-allocation
 //!   pins above now hold *for the indexed scan*.
+//! * Stage two from the scratch: a multi-candidate query encodes the
+//!   fingerprint once into the per-thread scratch, scores it against
+//!   the identifier's pre-encoded references with the symbol-level OSA
+//!   kernel and ranks in place, and `handle` reads winner and accepted
+//!   count from there — so a warm `handle` is **zero** allocations
+//!   however many classifiers accepted. Only `identify*`, which
+//!   returns the ranking, allocates (once, for that vector).
 //! * The compute pool: batch fan-out runs on persistent pinned
 //!   workers instead of spawning scoped threads per call, so a warm
 //!   pooled batch is **zero heap allocations** AND **zero thread
@@ -242,6 +249,65 @@ fn warm_handle_is_allocation_free() {
             "a warm single-candidate handle (bits {bits:#b}) must not touch the heap"
         );
     }
+}
+
+#[test]
+fn warm_multi_candidate_handle_is_allocation_free() {
+    let _serial = serial();
+    // Two look-alike types (identical training fingerprints, so both
+    // classifiers accept) among twelve far ones: every twin probe goes
+    // through edit-distance discrimination.
+    let tagged = |tags: &[u32]| fp_bits(0, tags);
+    let mut ds = Dataset::new();
+    for i in 0..20u32 {
+        for twin in ["TwinOne", "TwinTwo"] {
+            ds.push(LabeledFingerprint::new(
+                twin,
+                tagged(&[100, 110, 120 + (i % 2), 130, 140]),
+            ));
+        }
+        for far in 0..12u32 {
+            ds.push(LabeledFingerprint::new(
+                format!("Far{far}").leak() as &str,
+                tagged(&[900 + 50 * far, 910 + 50 * far, 920 + 50 * far]),
+            ));
+        }
+    }
+    let s = SentinelBuilder::new()
+        .dataset(ds)
+        .training_seed(3)
+        .build()
+        .unwrap();
+    let service = s.service();
+    // The second probe carries a word no reference has (the sentinel
+    // symbol's path); the third is longer than any reference.
+    let probes = [
+        tagged(&[100, 110, 120, 130, 140]),
+        tagged(&[100, 110, 121, 777, 140]),
+        tagged(&[100, 110, 120, 130, 140, 130, 140, 150]),
+    ];
+    for probe in &probes {
+        let (_, identification) = service.handle_detailed(probe);
+        assert!(
+            identification.needed_discrimination(),
+            "the twins must co-accept, or this test pins nothing"
+        );
+    }
+    // (`handle_detailed` above warmed the scratch and the match table.)
+    for probe in &probes {
+        let (allocs, response) = allocations_during(|| service.handle(probe));
+        assert!(response.needed_discrimination);
+        assert_eq!(
+            allocs, 0,
+            "a warm multi-candidate handle must not touch the heap"
+        );
+    }
+
+    // `identify` returns the ranking: that vector is its one
+    // allocation.
+    let (allocs, identification) = allocations_during(|| s.identifier().identify(&probes[0]));
+    assert_eq!(allocs, 1, "identify allocates the score vector only");
+    assert!(identification.needed_discrimination());
 }
 
 #[test]
