@@ -11,7 +11,6 @@
 //! | `table5_latency` | Table V — user latency with/without filtering |
 //! | `table6_overhead` | Table VI — filtering overhead |
 //! | `fig6_scaling` | Fig. 6a/b/c — latency, CPU and memory scaling |
-//! | `scaling_types` | §VI-B prose — classification time vs number of types |
 //! | `ablations` | DESIGN.md §5 — prefix length, negative ratio, reference count, distance variant |
 //! | `standby_identification` | §VIII-A — identification from standby/operation traffic |
 
@@ -85,134 +84,6 @@ pub fn fig5_order() -> Vec<&'static str> {
 /// Formats a ratio as the paper prints accuracies.
 pub fn fmt_ratio(r: f64) -> String {
     format!("{r:.3}")
-}
-
-/// Machine-readable bench reporting: wall-clock measurement plus a
-/// tiny hand-rolled JSON writer (the workspace has no serde), so
-/// benches can record their numbers as `BENCH_<name>.json` for the
-/// perf trajectory across PRs.
-pub mod bench_report {
-    use std::io::Write;
-    use std::path::PathBuf;
-    use std::time::{Duration, Instant};
-
-    /// Measures `f` and returns the best observed ns-per-iteration.
-    ///
-    /// Same estimator as the vendored criterion shim: a warm-up sizes
-    /// the batch, the batch is timed a handful of times, and the
-    /// lowest per-iteration time wins (minimum is the classic
-    /// noise-resistant location estimator for timing). Honors
-    /// `SENTINEL_BENCH_FAST=1` to shrink the budget in CI.
-    pub fn measure_ns<O, F: FnMut() -> O>(mut f: F) -> f64 {
-        let (warmup, measure, runs) = if std::env::var_os("SENTINEL_BENCH_FAST").is_some() {
-            (Duration::from_millis(5), Duration::from_millis(20), 3)
-        } else {
-            (Duration::from_millis(50), Duration::from_millis(200), 5)
-        };
-        let start = Instant::now();
-        let mut iters: u64 = 0;
-        while start.elapsed() < warmup {
-            std::hint::black_box(f());
-            iters += 1;
-        }
-        let batch = iters.max(1);
-        let per_run = (measure.as_nanos() as u64 / runs as u64).max(1);
-        let mut best = f64::INFINITY;
-        for _ in 0..runs {
-            let mut done: u64 = 0;
-            let t0 = Instant::now();
-            while done < batch || t0.elapsed().as_nanos() < u128::from(per_run) {
-                std::hint::black_box(f());
-                done += 1;
-            }
-            let ns = t0.elapsed().as_nanos() as f64 / done as f64;
-            if ns < best {
-                best = ns;
-            }
-        }
-        best
-    }
-
-    /// Renders an f64 for JSON (finite guard; JSON has no NaN/inf).
-    fn json_number(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v:.2}")
-        } else {
-            "null".to_string()
-        }
-    }
-
-    /// The directory bench reports land in: `$SENTINEL_BENCH_OUT` if
-    /// set, else the workspace root (the nearest ancestor of the
-    /// running package carrying a `Cargo.lock` — `cargo bench` runs
-    /// bench binaries with the *package* directory as CWD), else the
-    /// current directory.
-    pub fn report_dir() -> PathBuf {
-        if let Some(dir) = std::env::var_os("SENTINEL_BENCH_OUT") {
-            return PathBuf::from(dir);
-        }
-        if let Some(manifest_dir) = std::env::var_os("CARGO_MANIFEST_DIR") {
-            let mut dir = PathBuf::from(manifest_dir);
-            loop {
-                if dir.join("Cargo.lock").is_file() {
-                    return dir;
-                }
-                if !dir.pop() {
-                    break;
-                }
-            }
-        }
-        PathBuf::from(".")
-    }
-
-    /// Writes `BENCH_<bench>.json` with a `results` object (the raw
-    /// measurements, in `unit`) and a `derived` object (ratios and
-    /// other computed figures) into [`report_dir`]. Returns the path
-    /// written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from creating or writing the file.
-    pub fn write_bench_json(
-        bench: &str,
-        unit: &str,
-        results: &[(&str, f64)],
-        derived: &[(&str, f64)],
-    ) -> std::io::Result<PathBuf> {
-        write_bench_json_sections(bench, unit, &[("results", results), ("derived", derived)])
-    }
-
-    /// Writes `BENCH_<bench>.json` with one flat `name: number` object
-    /// per named section — the generalised shape for reports (like the
-    /// fleet simulator's) that carry more than `results`/`derived`.
-    /// Returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from creating or writing the file.
-    pub fn write_bench_json_sections(
-        bench: &str,
-        unit: &str,
-        sections: &[(&str, &[(&str, f64)])],
-    ) -> std::io::Result<PathBuf> {
-        let path = report_dir().join(format!("BENCH_{bench}.json"));
-        let mut out = Vec::new();
-        writeln!(out, "{{")?;
-        writeln!(out, "  \"bench\": \"{bench}\",")?;
-        writeln!(out, "  \"unit\": \"{unit}\",")?;
-        for (s, (section, entries)) in sections.iter().enumerate() {
-            writeln!(out, "  \"{section}\": {{")?;
-            for (i, (name, value)) in entries.iter().enumerate() {
-                let comma = if i + 1 == entries.len() { "" } else { "," };
-                writeln!(out, "    \"{name}\": {}{comma}", json_number(*value))?;
-            }
-            let comma = if s + 1 == sections.len() { "" } else { "," };
-            writeln!(out, "  }}{comma}")?;
-        }
-        writeln!(out, "}}")?;
-        std::fs::write(&path, out)?;
-        Ok(path)
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use sentinel_editdist::{dissimilarity_over, DistanceVariant, OsaScratch};
-use sentinel_fingerprint::{Dataset, Fingerprint, FixedFingerprint, FixedScratch, FEATURE_COUNT};
+use sentinel_fingerprint::{Dataset, Fingerprint, FixedFingerprint, FixedScratch};
 use sentinel_ml::{CompiledBank, CompiledBankBuilder, ScanSnapshot};
 
 use crate::classifier::TypeClassifier;
@@ -119,73 +119,22 @@ impl CandidateScratch {
     }
 }
 
-/// Shape and acceleration statistics of a compiled classifier bank
-/// (see [`DeviceTypeIdentifier::bank_stats`]).
+/// Shape statistics of a compiled classifier bank (see
+/// [`DeviceTypeIdentifier::bank_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankStats {
     /// Compiled forests (= known device types).
     pub forests: usize,
     /// Packed branch nodes across all forests.
     pub nodes: usize,
-    /// Approximate arena footprint (nodes + roots + spans + index).
+    /// Approximate arena footprint (nodes + roots + spans).
     pub arena_bytes: usize,
-    /// Whether queries consult the feature-usage prefilter.
-    pub indexed: bool,
-    /// Stripe lanes the prefilter folds F′ dimensions into (23 for
-    /// banks compiled by this crate: the per-packet feature columns).
-    pub stripes: u32,
-    /// Duplicate-content cluster groups (one representative walk
-    /// answers every member); equals `forests` when every type is
-    /// distinct.
+    /// Always equal to `forests`: no forests are grouped. Constant;
+    /// read by `benchmark/`, remove with the next `benchmark` change.
     pub cluster_groups: usize,
-    /// Cumulative scan-traffic counters (queries answered, prefilter
-    /// consults, arena walks skipped) at the instant the stats were
-    /// taken.
+    /// Cumulative scan-traffic counters (queries answered) at the
+    /// instant the stats were taken.
     pub scan: ScanSnapshot,
-}
-
-/// A compiled bank tiled to a large replicated type count, with the
-/// forest→[`TypeId`] mapping that [`CompiledBank::repeat`] alone does
-/// not carry: all copies share one registry/id slice, forest `i`
-/// answering for base forest `i mod base_count`.
-///
-/// The mapping is computed in `usize` — replica counts and forest
-/// indices past `u16::MAX` (the regime the 100k-type scaling bench
-/// exercises) stay exact. Built by
-/// [`DeviceTypeIdentifier::replicated_bank`], which also refuses
-/// tilings whose node references would wrap into earlier copies (the
-/// "off-by-bank" arena corruption) via [`CompiledBank::try_repeat`].
-#[derive(Debug, Clone)]
-pub struct ReplicatedBank {
-    bank: CompiledBank,
-    base_ids: Vec<TypeId>,
-}
-
-impl ReplicatedBank {
-    /// The tiled arena (every copy owns its own region).
-    pub fn bank(&self) -> &CompiledBank {
-        &self.bank
-    }
-
-    /// Total replicated type count (= tiled forest count).
-    pub fn type_count(&self) -> usize {
-        self.bank.forest_count()
-    }
-
-    /// Number of distinct base types behind the replicas.
-    pub fn base_count(&self) -> usize {
-        self.base_ids.len()
-    }
-
-    /// The device type forest `index` of the tiled bank answers for,
-    /// or `None` past the tiled forest count.
-    pub fn type_of(&self, index: usize) -> Option<TypeId> {
-        if index < self.bank.forest_count() {
-            Some(self.base_ids[index % self.base_ids.len()])
-        } else {
-            None
-        }
-    }
 }
 
 /// Per-type model state: the classifier plus reference fingerprints
@@ -248,12 +197,8 @@ impl DeviceTypeIdentifier {
     /// assertion catches forgotten rebuilds). Only fails for a
     /// non-binary classifier forest, which the training paths cannot
     /// produce (the persistence path validates before reaching here).
-    ///
-    /// Banks are indexed on the 23 per-packet F′ feature columns
-    /// (dimension `23·p + c` folds to column `c`), so the feature-usage
-    /// prefilter's stripes are exactly the paper's 23 features.
     pub(crate) fn rebuild_compiled(&mut self) -> Result<(), CoreError> {
-        let mut builder = CompiledBankBuilder::with_stripes(FEATURE_COUNT as u32);
+        let mut builder = CompiledBankBuilder::new();
         let mut ids = Vec::with_capacity(self.models.len());
         let mut encoded = EncodedReferences::default();
         for (id, model) in &self.models {
@@ -277,15 +222,7 @@ impl DeviceTypeIdentifier {
     fn append_compiled(&mut self, id: TypeId) -> Result<(), CoreError> {
         debug_assert!(self.compiled_ids.last().is_none_or(|last| *last < id));
         let model = &self.models[&id];
-        let bank = std::mem::take(&mut self.compiled);
-        // A never-compiled identifier holds an unindexed default bank;
-        // start a fresh F′-striped builder instead of inheriting its
-        // disabled index.
-        let mut builder = if bank.is_empty() && !bank.is_indexed() {
-            CompiledBankBuilder::with_stripes(FEATURE_COUNT as u32)
-        } else {
-            CompiledBankBuilder::from_bank(bank)
-        };
+        let mut builder = CompiledBankBuilder::from_bank(std::mem::take(&mut self.compiled));
         match builder.push(model.classifier.forest(), self.config.accept_threshold) {
             Ok(_) => {
                 self.compiled = builder.finish();
@@ -308,7 +245,7 @@ impl DeviceTypeIdentifier {
 
     /// The compiled flat-arena classifier bank serving
     /// [`DeviceTypeIdentifier::classify_candidates`] (bank statistics,
-    /// scaling experiments).
+    /// parity harnesses).
     pub fn compiled_bank(&self) -> &CompiledBank {
         &self.compiled
     }
@@ -449,8 +386,8 @@ impl DeviceTypeIdentifier {
         let fresh = !self.models.contains_key(&id);
         self.train_type(id, seed ^ fnv1a(label.as_bytes()))?;
         // The common case — a type the bank has never seen, with an id
-        // sorting after every compiled forest — appends its node
-        // region and index row in O(new forest). Retraining an
+        // sorting after every compiled forest — appends its nodes,
+        // roots and span in O(new forest). Retraining an
         // existing type (its forest changed in place) or a label
         // interned out of order (the bank mirrors ascending-id order)
         // falls back to the full recompile.
@@ -559,48 +496,23 @@ impl DeviceTypeIdentifier {
         self.classify_into(fixed, &mut scratch.candidates);
     }
 
-    /// Shape and acceleration statistics of the compiled bank serving
-    /// this identifier's stage one.
+    /// Shape statistics of the compiled bank serving this identifier's
+    /// stage one.
     pub fn bank_stats(&self) -> BankStats {
+        let forests = self.compiled.forest_count();
         BankStats {
-            forests: self.compiled.forest_count(),
+            forests,
             nodes: self.compiled.node_count(),
             arena_bytes: self.compiled.arena_bytes(),
-            indexed: self.compiled.is_indexed(),
-            stripes: self.compiled.index().stripes(),
-            cluster_groups: self.compiled.clusters().group_count(),
+            cluster_groups: forests,
             scan: self.compiled.scan_counters(),
         }
-    }
-
-    /// Tiles this identifier's compiled bank `replicas` times for
-    /// type-count scaling experiments, keeping the forest→[`TypeId`]
-    /// mapping: all copies share this identifier's registry, and
-    /// forest `i` of the tiled bank answers for the type of base
-    /// forest `i mod type_count`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::BadDataset`] when the identifier has no compiled
-    /// forests or `replicas` is zero; [`CoreError::Ml`] when the tiled
-    /// arena would overflow the 31-bit reference space
-    /// ([`CompiledBank::try_repeat`]).
-    pub fn replicated_bank(&self, replicas: usize) -> Result<ReplicatedBank, CoreError> {
-        if self.compiled_ids.is_empty() || replicas == 0 {
-            return Err(CoreError::BadDataset(
-                "replicating needs a trained bank and at least one copy".into(),
-            ));
-        }
-        Ok(ReplicatedBank {
-            bank: self.compiled.try_repeat(replicas)?,
-            base_ids: self.compiled_ids.clone(),
-        })
     }
 
     /// Stage one through the reference tree-walking interpreter (one
     /// [`TypeClassifier`] at a time, no arena, no early exit). Kept as
     /// the semantic baseline the compiled bank is pinned against —
-    /// candidate sets must be bit-identical — and for A/B benchmarks.
+    /// candidate sets must be bit-identical.
     pub fn classify_candidates_interpreted(&self, fixed: &FixedFingerprint) -> Vec<TypeId> {
         self.models
             .iter()
@@ -1002,9 +914,9 @@ mod tests {
         assert!(id.classify_candidates_interpreted(&wrong).is_empty());
     }
 
-    /// Every stage-one entry point — auto-routed, caller-scratch, and
-    /// the bank's forced full / prefiltered / clustered tiers — must
-    /// agree with the interpreter bit for bit.
+    /// Every stage-one entry point — allocating, caller-scratch, and
+    /// the bank's own scan — must agree with the interpreter bit for
+    /// bit.
     fn assert_all_scans_agree(id: &DeviceTypeIdentifier, probe: &Fingerprint) {
         let fixed = probe.to_fixed_with(id.config().fixed_prefix_len);
         let interpreted = id.classify_candidates_interpreted(&fixed);
@@ -1013,28 +925,16 @@ mod tests {
         id.classify_candidates_into(&fixed, &mut scratch);
         assert_eq!(scratch.candidates(), interpreted.as_slice());
         let (bank, ids) = (id.compiled_bank(), &id.compiled_ids);
-        let mut full = Vec::new();
-        bank.for_each_accepting_full(fixed.as_slice(), |i| full.push(ids[i]));
-        assert_eq!(full, interpreted, "full scan diverged on {probe:?}");
-        let mut indexed = Vec::new();
-        bank.for_each_accepting_indexed(fixed.as_slice(), |i| indexed.push(ids[i]));
-        assert_eq!(indexed, interpreted, "prefiltered diverged on {probe:?}");
-        let mut clustered = Vec::new();
-        bank.for_each_accepting_clustered(fixed.as_slice(), |i| clustered.push(ids[i]));
-        assert_eq!(clustered, interpreted, "clustered diverged on {probe:?}");
+        let mut scanned = Vec::new();
+        bank.for_each_accepting(fixed.as_slice(), |i| scanned.push(ids[i]));
+        assert_eq!(scanned, interpreted, "bank scan diverged on {probe:?}");
     }
 
     #[test]
     fn incremental_append_keeps_every_scan_path_in_parity() {
         let mut id = trained();
         let stats_before = id.bank_stats();
-        assert!(stats_before.indexed);
-        assert_eq!(stats_before.stripes, 23);
         assert_eq!(stats_before.forests, 3);
-        assert_eq!(
-            stats_before.cluster_groups, stats_before.forests,
-            "distinct types compile to distinct cluster groups"
-        );
         // Two incremental additions ride the append fast path (fresh
         // labels, ascending ids).
         for (label, base) in [("TypeD", 3000u32), ("TypeE", 4000)] {
@@ -1053,7 +953,6 @@ mod tests {
         }
         let stats_after = id.bank_stats();
         assert_eq!(stats_after.forests, 5);
-        assert!(stats_after.indexed, "appends keep the index usable");
         assert!(stats_after.nodes >= stats_before.nodes);
     }
 
@@ -1083,82 +982,6 @@ mod tests {
         ] {
             assert_all_scans_agree(&id, &probe);
         }
-    }
-
-    fn leaf_only_identifier() -> DeviceTypeIdentifier {
-        use sentinel_ml::{ForestConfig, TreeConfig};
-        let config = IdentifierConfig {
-            forest: ForestConfig {
-                n_trees: 3,
-                tree: TreeConfig {
-                    max_depth: 0,
-                    ..TreeConfig::default()
-                },
-                bootstrap: true,
-                threads: 1,
-            },
-            ..IdentifierConfig::default()
-        };
-        Trainer::new(config).train(&dataset(), 3).unwrap()
-    }
-
-    #[test]
-    fn replicated_bank_maps_forests_to_types_past_u16_max() {
-        // Regression: the forest→TypeId mapping of a tiled bank must
-        // stay exact when the replicated type count exceeds u16::MAX —
-        // all copies share one registry slice, so the mapping is a
-        // usize modulo, never a narrowed index. Leaf-only forests keep
-        // the 120k-forest arena tiny (zero packed nodes).
-        let id = leaf_only_identifier();
-        let base: Vec<TypeId> = id.known_type_ids().collect();
-        assert_eq!(base.len(), 3);
-        let replicas = 40_000usize;
-        let tiled = id.replicated_bank(replicas).unwrap();
-        assert_eq!(tiled.type_count(), 120_000);
-        assert_eq!(tiled.base_count(), 3);
-        assert!(tiled.type_count() > usize::from(u16::MAX));
-        for index in [0usize, 1, 2, 3, 65_535, 65_536, 65_537, 99_999, 119_999] {
-            assert_eq!(
-                tiled.type_of(index),
-                Some(base[index % 3]),
-                "forest {index} mapped to the wrong bank copy"
-            );
-        }
-        assert_eq!(tiled.type_of(120_000), None);
-        // The tiled arena answers like the base bank, copy for copy.
-        let probe = fp(&[104, 110, 120, 130]).to_fixed_with(id.config().fixed_prefix_len);
-        let base_accepts: Vec<bool> = (0..3)
-            .map(|i| id.compiled_bank().accepts(i, probe.as_slice()))
-            .collect();
-        for index in [3usize, 65_537, 119_997] {
-            assert_eq!(
-                tiled.bank().accepts(index, probe.as_slice()),
-                base_accepts[index % 3]
-            );
-        }
-    }
-
-    #[test]
-    fn replicated_bank_rejects_bad_shapes_with_typed_errors() {
-        let id = trained();
-        assert!(matches!(
-            id.replicated_bank(0),
-            Err(CoreError::BadDataset(_))
-        ));
-        // A tiling whose node references would wrap into earlier
-        // copies must come back as a typed error, not a corrupt bank.
-        let nodes = id.bank_stats().nodes;
-        assert!(nodes > 0);
-        let overflow = (1usize << 31) / nodes + 1;
-        assert!(matches!(
-            id.replicated_bank(overflow),
-            Err(CoreError::Ml(_))
-        ));
-        let untrained = DeviceTypeIdentifier::new(IdentifierConfig::default());
-        assert!(matches!(
-            untrained.replicated_bank(4),
-            Err(CoreError::BadDataset(_))
-        ));
     }
 
     #[test]

@@ -60,9 +60,7 @@ pub mod vulnerability;
 pub use cell::{ServiceCell, ServiceEpoch};
 pub use classifier::TypeClassifier;
 pub use error::CoreError;
-pub use identifier::{
-    BankStats, CandidateScratch, DeviceTypeIdentifier, Identification, ReplicatedBank,
-};
+pub use identifier::{BankStats, CandidateScratch, DeviceTypeIdentifier, Identification};
 pub use incidents::{
     CorrelatorConfig, FlaggedType, GatewayId, IncidentCorrelator, IncidentKind, IncidentReport,
 };

@@ -111,10 +111,10 @@ impl IoTSecurityService {
         &mut self.identifier
     }
 
-    /// Shape and acceleration statistics of the compiled classifier
-    /// bank this service answers stage one from — what an operator
-    /// checks after a [`crate::ServiceCell`] republish to confirm the
-    /// freshly published epoch serves an indexed bank.
+    /// Shape statistics of the compiled classifier bank this service
+    /// answers stage one from — what an operator checks after a
+    /// [`crate::ServiceCell`] republish to confirm the freshly
+    /// published epoch serves the expected number of forests.
     pub fn bank_stats(&self) -> crate::identifier::BankStats {
         self.identifier.bank_stats()
     }

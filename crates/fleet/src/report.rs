@@ -1,10 +1,11 @@
 //! The fleet report: one struct tying the deterministic simulation
 //! summary to the wall-clock measurement, with a `BENCH_fleet.json`
-//! writer on the shared bench-report plumbing.
+//! writer (a tiny hand-rolled JSON emitter — the workspace has no
+//! serde).
 
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
-use sentinel_bench::bench_report::write_bench_json_sections;
 use sentinel_obs::{Counter, MetricsSnapshot, Stage};
 
 use crate::config::FleetConfig;
@@ -72,6 +73,55 @@ pub struct FleetReport {
 
 fn us(ns: u64) -> f64 {
     ns as f64 / 1_000.0
+}
+
+/// Renders an f64 for JSON (finite guard; JSON has no NaN/inf).
+fn json_number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.2}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// The directory the report lands in: `$SENTINEL_BENCH_OUT` if set,
+/// else the workspace root when run under cargo (the nearest ancestor
+/// of the running package carrying a `Cargo.lock`), else the current
+/// directory.
+fn report_dir() -> PathBuf {
+    if let Some(dir) = std::env::var_os("SENTINEL_BENCH_OUT") {
+        return PathBuf::from(dir);
+    }
+    std::env::var_os("CARGO_MANIFEST_DIR")
+        .and_then(|manifest_dir| {
+            Path::new(&manifest_dir)
+                .ancestors()
+                .find(|dir| dir.join("Cargo.lock").is_file())
+                .map(Path::to_path_buf)
+        })
+        .unwrap_or_else(|| PathBuf::from("."))
+}
+
+/// Writes `BENCH_fleet.json` into [`report_dir`] with one flat
+/// `name: number` object per named section. Returns the path written.
+fn write_sections(sections: &[(&str, &[(&str, f64)])]) -> std::io::Result<PathBuf> {
+    let path = report_dir().join("BENCH_fleet.json");
+    let mut out = Vec::new();
+    writeln!(out, "{{")?;
+    writeln!(out, "  \"bench\": \"fleet\",")?;
+    writeln!(out, "  \"unit\": \"us\",")?;
+    for (s, (section, entries)) in sections.iter().enumerate() {
+        writeln!(out, "  \"{section}\": {{")?;
+        for (i, (name, value)) in entries.iter().enumerate() {
+            let comma = if i + 1 == entries.len() { "" } else { "," };
+            writeln!(out, "    \"{name}\": {}{comma}", json_number(*value))?;
+        }
+        let comma = if s + 1 == sections.len() { "" } else { "," };
+        writeln!(out, "  }}{comma}")?;
+    }
+    writeln!(out, "}}")?;
+    std::fs::write(&path, out)?;
+    Ok(path)
 }
 
 impl FleetReport {
@@ -211,7 +261,7 @@ impl FleetReport {
         if !server.is_empty() {
             sections.push(("server", &server));
         }
-        write_bench_json_sections("fleet", "us", &sections)
+        write_sections(&sections)
     }
 
     /// Human-readable summary lines for the CLI.

@@ -15,12 +15,7 @@
 //!   forests: packed 16-byte branch nodes, leaves folded into tagged
 //!   child references, early-exit voting, allocation- and panic-free
 //!   evaluation. The representation behind the identification hot
-//!   path: one arena, one scan auto-routed by bank shape.
-//! * [`index`] — the two scan accelerators over compiled banks: the
-//!   feature-usage prefilter (per-forest tested-stripe bitmaps plus
-//!   cached all-default verdicts, so queries skip forests that never
-//!   look at their nonzero features) and the duplicate-content
-//!   cluster index (one walk per group of identical forests).
+//!   path: one arena, one sequential scan.
 //! * [`metrics`] — accuracy and labelled confusion matrices (the shapes
 //!   reported in Fig. 5 and Table III).
 //! * [`sampler`] — bootstrap and without-replacement index sampling
@@ -49,17 +44,14 @@ pub mod codec;
 pub mod compiled;
 pub mod error;
 pub mod forest;
-pub mod index;
 pub mod metrics;
 pub mod sampler;
 pub mod tree;
 
 pub use compiled::{
     CompiledBank, CompiledBankBuilder, ForestSpan, PackedNode, ScanCounters, ScanSnapshot,
-    CLUSTER_MIN_FORESTS, PREFILTER_MIN_FORESTS,
 };
 pub use error::MlError;
 pub use forest::{ForestConfig, RandomForest};
-pub use index::{BankIndex, ClusterGroup, ClusterIndex, IndexRow, MAX_STRIPES};
 pub use metrics::{accuracy, ConfusionMatrix};
 pub use tree::{DecisionTree, FeatureSubsample, TreeConfig};

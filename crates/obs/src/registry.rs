@@ -65,12 +65,11 @@ pub enum Counter {
     /// fresh bank and **resets** this to zero — unlike the registry
     /// counters, it is monotone only between reloads.
     ScanQueries = 12,
-    /// Scans answered with the feature-bitmap prefilter consulted.
-    /// Per-model like [`Counter::ScanQueries`]: resets on reload.
+    /// Retired, always 0 (the scan has no prefilter); the id stays so
+    /// the dense wire catalog is not renumbered.
     ScanPrefiltered = 13,
-    /// Forest evaluations skipped by the prefilter (answered from the
-    /// cached all-default verdict without walking the arena).
-    /// Per-model like [`Counter::ScanQueries`]: resets on reload.
+    /// Retired, always 0 (the scan skips no forest); the id stays so
+    /// the dense wire catalog is not renumbered.
     ScanForestsSkipped = 14,
     /// Client-side: reconnect attempts beyond the first.
     ClientConnectRetries = 15,
@@ -223,7 +222,7 @@ impl Counter {
 pub enum Stage {
     /// Query-frame payload decode (wire bytes → fingerprints).
     Decode = 0,
-    /// Identification: prefilter consult + arena scan/vote + response
+    /// Identification: arena scan/vote, discrimination + response
     /// assembly (`handle_batch_on`), the paper's classification step.
     Scan = 1,
     /// Response-frame encode (responses → wire bytes) and send.

@@ -1062,7 +1062,7 @@ fn elapsed_ns(start: Instant, end: Instant) -> u64 {
 /// Builds the full [`MetricsSnapshot`] served on a Stats frame: the
 /// registry's counters and stage histograms, overlaid with the state
 /// that lives outside the registry — the service epoch, the reload
-/// count from the [`ServiceCell`], the compiled bank's scan counters,
+/// count from the [`ServiceCell`], the compiled bank's scan counter,
 /// and the cell's compute-pool counters.
 fn stats_snapshot(
     registry: &MetricsRegistry,
@@ -1075,8 +1075,6 @@ fn stats_snapshot(
     snapshot.epoch = epoch;
     snapshot.set_counter(Counter::Reloads, reloads);
     snapshot.set_counter(Counter::ScanQueries, scan.queries);
-    snapshot.set_counter(Counter::ScanPrefiltered, scan.prefiltered);
-    snapshot.set_counter(Counter::ScanForestsSkipped, scan.forests_skipped);
     snapshot.set_counter(Counter::PoolTasksSubmitted, pool.submitted);
     snapshot.set_counter(Counter::PoolTasksExecuted, pool.executed);
     snapshot.set_counter(Counter::PoolSteals, pool.steals);

@@ -374,8 +374,9 @@ impl Sentinel {
     }
 
     /// Answers a batch of fingerprint queries, one response per
-    /// fingerprint in order — semantically `N ×` [`Sentinel::handle`],
-    /// processed in chunks ready for future parallel fan-out.
+    /// fingerprint in order — semantically `N ×` [`Sentinel::handle`];
+    /// batches larger than one chunk fan out on the global compute
+    /// pool.
     pub fn handle_batch(&self, fingerprints: &[Fingerprint]) -> Vec<ServiceResponse> {
         self.controller.service().handle_batch(fingerprints)
     }
@@ -686,11 +687,9 @@ impl Sentinel {
         self.controller.service().identifier()
     }
 
-    /// Shape and acceleration statistics of the compiled classifier
-    /// bank behind [`Sentinel::handle`]'s stage one: forest/node
-    /// counts, arena footprint, and whether the feature-usage
-    /// prefilter is active (it is for every trained or reloaded
-    /// model).
+    /// Shape statistics of the compiled classifier bank behind
+    /// [`Sentinel::handle`]'s stage one: forest/node counts, arena
+    /// footprint and the scan counter.
     pub fn bank_stats(&self) -> sentinel_core::BankStats {
         self.controller.service().bank_stats()
     }

@@ -58,9 +58,8 @@ fn class_dataset(class_seeds: &[u32], samples_per_class: usize) -> Dataset {
 }
 
 /// Asserts the compiled bank and the interpreter agree on `fixed`,
-/// through every stage-one entry point — the full, prefiltered and
-/// clustered tiers forced at bank level, so banks below the
-/// auto-routing thresholds exercise them too.
+/// through every stage-one entry point: the allocating and
+/// caller-scratch identifier calls and the bank's own scan.
 fn assert_fixed_parity(
     identifier: &DeviceTypeIdentifier,
     scratch: &mut CandidateScratch,
@@ -76,24 +75,13 @@ fn assert_fixed_parity(
     identifier.classify_candidates_into(fixed, scratch);
     assert_eq!(scratch.candidates(), compiled.as_slice());
     let ids: Vec<_> = identifier.known_type_ids().collect();
-    let bank = identifier.compiled_bank();
-    let mut full = Vec::new();
-    bank.for_each_accepting_full(fixed.as_slice(), |i| full.push(ids[i]));
+    let mut scanned = Vec::new();
+    identifier
+        .compiled_bank()
+        .for_each_accepting(fixed.as_slice(), |i| scanned.push(ids[i]));
     assert_eq!(
-        full, interpreted,
-        "full scan diverged from the interpreter on {what}"
-    );
-    let mut indexed = Vec::new();
-    bank.for_each_accepting_indexed(fixed.as_slice(), |i| indexed.push(ids[i]));
-    assert_eq!(
-        indexed, interpreted,
-        "prefiltered scan diverged from the interpreter on {what}"
-    );
-    let mut clustered = Vec::new();
-    bank.for_each_accepting_clustered(fixed.as_slice(), |i| clustered.push(ids[i]));
-    assert_eq!(
-        clustered, interpreted,
-        "clustered scan diverged from the interpreter on {what}"
+        scanned, interpreted,
+        "bank scan diverged from the interpreter on {what}"
     );
 }
 
@@ -106,32 +94,96 @@ fn assert_parity(
     assert_fixed_parity(identifier, scratch, &fixed, &format!("{probe:?}"));
 }
 
-/// Probes stuffed with the f32 values most likely to expose a
-/// mis-compiled comparison: NaN (all comparisons false), signed
-/// zeros (equal but bit-distinct), denormals, and infinities.
-fn special_value_probes(identifier: &DeviceTypeIdentifier) -> Vec<(FixedFingerprint, String)> {
+fn ulp_up(x: f32) -> f32 {
+    if !x.is_finite() {
+        x
+    } else if x == 0.0 {
+        f32::from_bits(1)
+    } else if x > 0.0 {
+        f32::from_bits(x.to_bits() + 1)
+    } else {
+        f32::from_bits(x.to_bits() - 1)
+    }
+}
+
+fn ulp_down(x: f32) -> f32 {
+    if !x.is_finite() {
+        x
+    } else if x == 0.0 {
+        -f32::from_bits(1)
+    } else if x > 0.0 {
+        f32::from_bits(x.to_bits() - 1)
+    } else {
+        f32::from_bits(x.to_bits() + 1)
+    }
+}
+
+/// Fixed-width probes most likely to expose a mis-compiled comparison:
+/// NaN (all comparisons false), signed zeros (equal but bit-distinct),
+/// denormals, infinities, the all-default F′, and values exactly on /
+/// one ulp either side of real split thresholds harvested from the
+/// compiled arena.
+fn adversarial_fixed_probes(identifier: &DeviceTypeIdentifier) -> Vec<(FixedFingerprint, String)> {
     let dims = identifier.config().fixed_prefix_len * FEATURE_COUNT;
-    [
+    let mut probes = vec![(
+        FixedFingerprint::from_values(vec![0.0f32; dims]),
+        "all-default F'".to_string(),
+    )];
+    let specials = [
         f32::NAN,
         -0.0,
         f32::MIN_POSITIVE / 2.0,
         f32::from_bits(1),
         f32::INFINITY,
         f32::NEG_INFINITY,
-    ]
-    .iter()
-    .enumerate()
-    .map(|(si, s)| {
+    ];
+    for (si, s) in specials.iter().enumerate() {
         let mut values = vec![41.5f32; dims];
         for v in values.iter_mut().step_by(si + 2) {
             *v = *s;
         }
-        (
+        probes.push((
             FixedFingerprint::from_values(values),
             format!("special-value probe #{si} ({s})"),
-        )
-    })
-    .collect()
+        ));
+    }
+    // Straddle real split thresholds: exactly at, one ulp below, one
+    // ulp above — the three points where a mis-compiled compare
+    // could flip a branch the interpreter would not.
+    let bank = identifier.compiled_bank();
+    for (ni, node) in bank.nodes().iter().enumerate().step_by(7).take(24) {
+        let feature = usize::from(node.feature);
+        for (which, value) in [
+            ("at", node.threshold),
+            ("just below", ulp_down(node.threshold)),
+            ("just above", ulp_up(node.threshold)),
+        ] {
+            let mut values = vec![0.0f32; dims];
+            // Paint the whole column so the probe hits every forest's
+            // use of this feature, not just one node.
+            for v in values
+                .iter_mut()
+                .skip(feature % FEATURE_COUNT)
+                .step_by(FEATURE_COUNT)
+            {
+                *v = value;
+            }
+            probes.push((
+                FixedFingerprint::from_values(values),
+                format!("node {ni} {which} threshold {}", node.threshold),
+            ));
+        }
+    }
+    probes
+}
+
+/// The probe battery every property below ends with: the empty
+/// fingerprint plus [`adversarial_fixed_probes`].
+fn assert_adversarial_parity(identifier: &DeviceTypeIdentifier, scratch: &mut CandidateScratch) {
+    assert_parity(identifier, scratch, &Fingerprint::default());
+    for (fixed, what) in adversarial_fixed_probes(identifier) {
+        assert_fixed_parity(identifier, scratch, &fixed, &what);
+    }
 }
 
 proptest! {
@@ -153,35 +205,36 @@ proptest! {
         for tag in probe_tags {
             assert_parity(&identifier, &mut scratch, &fp(&[tag, tag + 17, tag + 31]));
         }
-        for (fixed, what) in special_value_probes(&identifier) {
-            assert_fixed_parity(&identifier, &mut scratch, &fixed, &what);
-        }
+        assert_adversarial_parity(&identifier, &mut scratch);
     }
 
-    /// Parity survives incremental learning: `add_device_type` trains
-    /// one new classifier and recompiles the bank; candidate sets stay
-    /// bit-identical for old and new probes alike.
+    /// Parity survives incremental learning: each `add_device_type`
+    /// trains one new classifier and appends it to the compiled arena
+    /// in place; candidate sets stay bit-identical for old and new
+    /// probes alike, across several consecutive appends.
     #[test]
     fn parity_survives_add_device_type(
         class_seeds in proptest::collection::vec(0u32..8_000, 2..4),
-        new_seed in 20_000u32..30_000,
+        new_seeds in proptest::collection::vec(20_000u32..30_000, 1..4),
         probe_tags in proptest::collection::vec(0u32..32_000, 1..12),
     ) {
         let ds = class_dataset(&class_seeds, 5);
         let mut identifier = Trainer::new(quick_config()).train(&ds, 7).unwrap();
-        let new_fps: Vec<Fingerprint> = (0..5u32)
-            .map(|i| fp(&[new_seed + i, new_seed + 17, new_seed + 31]))
-            .collect();
-        identifier.add_device_type("Late", &new_fps, 11).unwrap();
-        prop_assert_eq!(identifier.compiled_bank().forest_count(), identifier.type_count());
         let mut scratch = CandidateScratch::new();
-        assert_parity(&identifier, &mut scratch, &new_fps[0]);
+        for (round, new_seed) in new_seeds.iter().enumerate() {
+            let new_fps: Vec<Fingerprint> = (0..5u32)
+                .map(|i| fp(&[new_seed + i, new_seed + 17, new_seed + 31]))
+                .collect();
+            identifier
+                .add_device_type(&format!("Late{round}"), &new_fps, 11 + round as u64)
+                .unwrap();
+            prop_assert_eq!(identifier.compiled_bank().forest_count(), identifier.type_count());
+            assert_parity(&identifier, &mut scratch, &new_fps[0]);
+        }
         for tag in probe_tags {
             assert_parity(&identifier, &mut scratch, &fp(&[tag, tag + 17, tag + 31]));
         }
-        for (fixed, what) in special_value_probes(&identifier) {
-            assert_fixed_parity(&identifier, &mut scratch, &fixed, &what);
-        }
+        assert_adversarial_parity(&identifier, &mut scratch);
     }
 
     /// Parity survives persistence and a `ServiceCell` hot reload: the
@@ -219,8 +272,6 @@ proptest! {
         for tag in probe_tags {
             assert_parity(identifier, &mut scratch, &fp(&[tag, tag + 17, tag + 31]));
         }
-        for (fixed, what) in special_value_probes(identifier) {
-            assert_fixed_parity(identifier, &mut scratch, &fixed, &what);
-        }
+        assert_adversarial_parity(identifier, &mut scratch);
     }
 }
