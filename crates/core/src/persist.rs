@@ -17,12 +17,12 @@
 //!   [`DeviceTypeIdentifier::add_device_type`] keeps working after a
 //!   reload (new classifiers need negatives from the pool).
 //!
-//! Format v2 adds the explicit registry section; v1 documents (no
-//! registry section) are still read, with ids assigned in document
-//! order. Floats (the accept threshold, tree split thresholds) are
-//! stored as IEEE-754 bit patterns, so `write → read` reproduces a
-//! model that is behaviourally *identical*: every prediction, vote
-//! fraction and discrimination score matches the original exactly.
+//! There is one document version (`iot-sentinel-model v2`); any other
+//! header is a typed [`CoreError::Persist`]. Floats (the accept
+//! threshold, tree split thresholds) are stored as IEEE-754 bit
+//! patterns, so `write → read` reproduces a model that is
+//! behaviourally *identical*: every prediction, vote fraction and
+//! discrimination score matches the original exactly.
 //!
 //! # Example
 //!
@@ -58,7 +58,6 @@ use crate::registry::{TypeId, TypeRegistry};
 use crate::trainer::IdentifierConfig;
 
 const HEADER_V2: &str = "iot-sentinel-model v2";
-const HEADER_V1: &str = "iot-sentinel-model v1";
 const FOOTER: &str = "end model";
 
 /// Writes `identifier` to `w` in the v2 text format (a `&mut` writer
@@ -108,12 +107,10 @@ pub fn write_identifier<W: Write>(
     Ok(())
 }
 
-/// Reads an identifier from `r` (v2 or legacy v1 documents).
+/// Reads an identifier from `r`.
 ///
-/// v2 documents restore the type registry exactly — ids match the
-/// writing identifier's ids. v1 documents carry no registry section,
-/// so ids are assigned in document order (which matches the v1
-/// writer's BTreeMap name order).
+/// The type registry is restored exactly — ids match the writing
+/// identifier's ids.
 ///
 /// # Errors
 ///
@@ -124,33 +121,23 @@ pub fn read_identifier<R: Read>(r: R) -> Result<DeviceTypeIdentifier, CoreError>
     let mut r = BufReader::new(r);
     let mut line_no = 0usize;
 
-    let header = read_line(&mut r, &mut line_no)?;
-    let v2 = match header.as_str() {
-        HEADER_V2 => true,
-        HEADER_V1 => false,
-        _ => {
-            return Err(persist_err(
-                line_no,
-                "expected `iot-sentinel-model v2` (or legacy v1)",
-            ))
-        }
-    };
+    if read_line(&mut r, &mut line_no)? != HEADER_V2 {
+        return Err(persist_err(line_no, "expected `iot-sentinel-model v2`"));
+    }
     let config = read_config(&mut r, &mut line_no)?;
 
     let mut registry = TypeRegistry::new();
-    if v2 {
-        let registry_line = read_line(&mut r, &mut line_no)?;
-        let name_count: usize = expect_keyword_count(&registry_line, "registry", line_no)?;
-        for _ in 0..name_count {
-            let name_line = read_line(&mut r, &mut line_no)?;
-            let name = name_line
-                .strip_prefix("name ")
-                .ok_or_else(|| persist_err(line_no, "expected `name <type-name>`"))?;
-            if name.is_empty() {
-                return Err(persist_err(line_no, "empty type name in registry"));
-            }
-            registry.intern(name);
+    let registry_line = read_line(&mut r, &mut line_no)?;
+    let name_count: usize = expect_keyword_count(&registry_line, "registry", line_no)?;
+    for _ in 0..name_count {
+        let name_line = read_line(&mut r, &mut line_no)?;
+        let name = name_line
+            .strip_prefix("name ")
+            .ok_or_else(|| persist_err(line_no, "expected `name <type-name>`"))?;
+        if name.is_empty() {
+            return Err(persist_err(line_no, "empty type name in registry"));
         }
+        registry.intern(name);
     }
 
     let types_line = read_line(&mut r, &mut line_no)?;
@@ -170,7 +157,7 @@ pub fn read_identifier<R: Read>(r: R) -> Result<DeviceTypeIdentifier, CoreError>
         if name.is_empty() {
             return Err(persist_err(line_no, "empty type name"));
         }
-        let id = resolve_name(&mut registry, name, v2, line_no)?;
+        let id = resolve_name(&registry, name, line_no)?;
         let forest = ml_codec::read_forest(&mut r).map_err(CoreError::Ml)?;
         let mut references = Vec::with_capacity(n_refs);
         for _ in 0..n_refs {
@@ -191,7 +178,7 @@ pub fn read_identifier<R: Read>(r: R) -> Result<DeviceTypeIdentifier, CoreError>
         let label = label_line
             .strip_prefix("label ")
             .ok_or_else(|| persist_err(line_no, "expected `label <name>`"))?;
-        let id = resolve_name(&mut registry, label, v2, line_no)?;
+        let id = resolve_name(&registry, label, line_no)?;
         let fingerprint = read_fingerprint(&mut r, &mut line_no, "fingerprint")?;
         pool.push((id, fingerprint));
     }
@@ -202,22 +189,15 @@ pub fn read_identifier<R: Read>(r: R) -> Result<DeviceTypeIdentifier, CoreError>
     DeviceTypeIdentifier::from_parts(config, registry, models, pool)
 }
 
-/// Maps a type name to its id: v2 documents must have declared it in
-/// the registry section; v1 documents intern on first sight.
-fn resolve_name(
-    registry: &mut TypeRegistry,
-    name: &str,
-    v2: bool,
-    line_no: usize,
-) -> Result<TypeId, CoreError> {
-    match registry.get(name) {
-        Some(id) => Ok(id),
-        None if v2 => Err(persist_err(
+/// Maps a type name to its id; the registry section must have
+/// declared it.
+fn resolve_name(registry: &TypeRegistry, name: &str, line_no: usize) -> Result<TypeId, CoreError> {
+    registry.get(name).ok_or_else(|| {
+        persist_err(
             line_no,
             &format!("type name {name:?} missing from registry section"),
-        )),
-        None => Ok(registry.intern(name)),
-    }
+        )
+    })
 }
 
 fn write_config<W: Write>(w: &mut W, config: &IdentifierConfig) -> Result<(), CoreError> {
@@ -519,23 +499,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_documents_still_read() {
+    fn v1_documents_are_refused_with_a_typed_error() {
         let identifier = Trainer::new(config()).train(&dataset(), 3).unwrap();
         let mut buf = Vec::new();
         write_identifier(&mut buf, &identifier).unwrap();
         let doc = String::from_utf8(buf).unwrap();
         // Rewrite as a v1 document: v1 header, no registry section.
-        let v1 = doc.replacen(HEADER_V2, HEADER_V1, 1);
+        let v1 = doc.replacen(HEADER_V2, "iot-sentinel-model v1", 1);
         let registry_end = v1.find("types ").unwrap();
         let registry_start = v1.find("registry ").unwrap();
         let v1 = format!("{}{}", &v1[..registry_start], &v1[registry_end..]);
-        let back = read_identifier(v1.as_bytes()).unwrap();
-        assert_eq!(back.type_count(), identifier.type_count());
-        for probe in dataset().iter() {
-            assert_eq!(
-                back.name_of(&back.identify(probe.fingerprint())),
-                identifier.name_of(&identifier.identify(probe.fingerprint())),
-            );
+        match read_identifier(v1.as_bytes()) {
+            Err(CoreError::Persist { line: 1, message }) => {
+                assert!(message.contains("iot-sentinel-model v2"), "{message}");
+            }
+            other => panic!("expected a line-1 persist error, got {other:?}"),
         }
     }
 

@@ -195,8 +195,8 @@ impl IoTSecurityService {
     /// land in its own lane, and lanes are merged in chunk order — the
     /// result is bit-identical to the sequential order regardless of
     /// scheduling. Called from a task already running on `pool`, the
-    /// chunks execute via work-stealing on the same workers; nothing
-    /// here ever spawns a thread.
+    /// chunks are shared with that pool's idle workers while the
+    /// caller drains them too; nothing here ever spawns a thread.
     pub fn handle_batch_on(
         &self,
         pool: &ComputePool,

@@ -103,9 +103,9 @@ pub struct DriveOutcome {
     pub reload: Option<ReloadOutcome>,
     /// The server's own metrics snapshot (counters plus per-stage
     /// latency histograms), fetched over a `Stats` frame once the
-    /// replay drained. `None` when the server predates wire v3 or the
-    /// extra connection failed — the replay's client-side numbers
-    /// stand alone either way.
+    /// replay drained. `None` when the extra connection or the Stats
+    /// fetch failed — the replay's client-side numbers stand alone
+    /// either way.
     pub server: Option<MetricsSnapshot>,
 }
 
@@ -431,8 +431,9 @@ pub fn drive(
         None
     };
     // One extra connection after the replay drained: the server-side
-    // view of the run just measured. Best-effort — a pre-v3 server or
-    // a refused connection only costs this section, not the replay.
+    // view of the run just measured. Best-effort — a refused
+    // connection or a failed Stats fetch only costs this section, not
+    // the replay.
     let server = SentinelClient::connect(addr, config.client.clone())
         .ok()
         .and_then(|mut client| client.server_stats().ok());

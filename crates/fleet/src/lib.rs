@@ -22,8 +22,8 @@
 //!    A mid-run hot reload is fired under load and its epoch
 //!    propagation timed via the wire v3 response stamps.
 //!
-//! [`FleetReport::compose`] merges both halves and writes
-//! `BENCH_fleet.json` next to the other bench artifacts.
+//! [`FleetReport::compose`] merges both halves;
+//! [`FleetReport::lines`] is the summary the CLI prints.
 //!
 //! In-process miniature fleets for tests need no binary: build a
 //! service, [`sentinel_serve::serve`] it on a loopback ephemeral port,

@@ -1,10 +1,6 @@
 //! The fleet report: one struct tying the deterministic simulation
-//! summary to the wall-clock measurement, with a `BENCH_fleet.json`
-//! writer (a tiny hand-rolled JSON emitter — the workspace has no
-//! serde).
-
-use std::io::Write;
-use std::path::{Path, PathBuf};
+//! summary to the wall-clock measurement, rendered as the summary
+//! lines the CLI prints.
 
 use sentinel_obs::{Counter, MetricsSnapshot, Stage};
 
@@ -12,7 +8,7 @@ use crate::config::FleetConfig;
 use crate::driver::DriveOutcome;
 use crate::sim::{FleetTrace, SimSummary};
 
-/// Everything one fleet run produced, ready to print or persist.
+/// Everything one fleet run produced, ready to print.
 ///
 /// Fields split into the **deterministic** half (scenario + simulation
 /// summary + trace digest — identical across runs with one seed) and
@@ -66,62 +62,13 @@ pub struct FleetReport {
     /// already seen the new epoch (must be zero on a healthy server).
     pub stale_after_reload: Option<u64>,
     /// The server's own metrics snapshot for the run, fetched over a
-    /// `Stats` frame after the replay drained (`None` against pre-v3
-    /// servers).
+    /// `Stats` frame after the replay drained (`None` when that fetch
+    /// failed).
     pub server: Option<MetricsSnapshot>,
 }
 
 fn us(ns: u64) -> f64 {
     ns as f64 / 1_000.0
-}
-
-/// Renders an f64 for JSON (finite guard; JSON has no NaN/inf).
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.2}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// The directory the report lands in: `$SENTINEL_BENCH_OUT` if set,
-/// else the workspace root when run under cargo (the nearest ancestor
-/// of the running package carrying a `Cargo.lock`), else the current
-/// directory.
-fn report_dir() -> PathBuf {
-    if let Some(dir) = std::env::var_os("SENTINEL_BENCH_OUT") {
-        return PathBuf::from(dir);
-    }
-    std::env::var_os("CARGO_MANIFEST_DIR")
-        .and_then(|manifest_dir| {
-            Path::new(&manifest_dir)
-                .ancestors()
-                .find(|dir| dir.join("Cargo.lock").is_file())
-                .map(Path::to_path_buf)
-        })
-        .unwrap_or_else(|| PathBuf::from("."))
-}
-
-/// Writes `BENCH_fleet.json` into [`report_dir`] with one flat
-/// `name: number` object per named section. Returns the path written.
-fn write_sections(sections: &[(&str, &[(&str, f64)])]) -> std::io::Result<PathBuf> {
-    let path = report_dir().join("BENCH_fleet.json");
-    let mut out = Vec::new();
-    writeln!(out, "{{")?;
-    writeln!(out, "  \"bench\": \"fleet\",")?;
-    writeln!(out, "  \"unit\": \"us\",")?;
-    for (s, (section, entries)) in sections.iter().enumerate() {
-        writeln!(out, "  \"{section}\": {{")?;
-        for (i, (name, value)) in entries.iter().enumerate() {
-            let comma = if i + 1 == entries.len() { "" } else { "," };
-            writeln!(out, "    \"{name}\": {}{comma}", json_number(*value))?;
-        }
-        let comma = if s + 1 == sections.len() { "" } else { "," };
-        writeln!(out, "  }}{comma}")?;
-    }
-    writeln!(out, "}}")?;
-    std::fs::write(&path, out)?;
-    Ok(path)
 }
 
 impl FleetReport {
@@ -155,113 +102,6 @@ impl FleetReport {
             stale_after_reload: outcome.reload.as_ref().map(|r| r.stale_responses),
             server: outcome.server.clone(),
         }
-    }
-
-    /// Writes `BENCH_fleet.json` (into `$SENTINEL_BENCH_OUT` or the
-    /// workspace root) and returns the path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from writing the file.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        let mut results: Vec<(&str, f64)> = vec![
-            ("qps", self.qps),
-            ("p50_us", self.p50_us),
-            ("p99_us", self.p99_us),
-            ("p999_us", self.p999_us),
-            ("mean_us", self.mean_us),
-            ("max_us", self.max_us),
-            ("errors", self.errors as f64),
-        ];
-        if let Some(lag) = self.reload_lag_ms {
-            results.push(("reload_lag_ms", lag));
-        }
-        let mut derived: Vec<(&str, f64)> = vec![
-            ("wall_secs", self.wall_secs),
-            ("queries_sent", self.queries_sent as f64),
-            ("responses_ok", self.responses_ok as f64),
-            ("shed", self.shed as f64),
-            ("overload_retries", self.overload_retries as f64),
-            ("connect_retries", self.connect_retries as f64),
-        ];
-        if let Some(epoch) = self.reload_epoch {
-            derived.push(("reload_epoch", epoch as f64));
-        }
-        if let Some(stale) = self.stale_after_reload {
-            derived.push(("stale_after_reload", stale as f64));
-        }
-        let sim: Vec<(&str, f64)> = vec![
-            ("devices", f64::from(self.devices)),
-            ("virtual_secs", self.virtual_secs),
-            ("enrolled", self.sim.enrolled as f64),
-            ("queries", self.sim.queries as f64),
-            ("setup_queries", self.sim.setup_queries as f64),
-            ("steady_queries", self.sim.steady_queries as f64),
-            ("standbys", self.sim.standbys as f64),
-            ("wakes", self.sim.wakes as f64),
-            ("churned", self.sim.churned as f64),
-            ("replacements", self.sim.replacements as f64),
-            ("retransmits", self.sim.retransmits as f64),
-            // The digest's low 32 bits: exactly representable in the
-            // JSON writer's f64 numbers, still a strong change signal.
-            ("trace_digest_lo", f64::from(self.trace_digest as u32)),
-        ];
-        // Satellite view of the same run: the client side's counters
-        // under the obs catalog names, so dashboards join the two
-        // sections on one vocabulary.
-        let client: Vec<(&str, f64)> = vec![
-            (
-                Counter::ClientConnectRetries.name(),
-                self.connect_retries as f64,
-            ),
-            (Counter::ClientRequestsSent.name(), self.queries_sent as f64),
-            (
-                Counter::ClientResponsesReceived.name(),
-                self.responses_ok as f64,
-            ),
-        ];
-        // The server's own view, when it answered a Stats frame: every
-        // known counter, plus a per-stage latency summary. Owned keys
-        // (stage names are composed) bridged into the &str slices the
-        // writer takes.
-        let server_owned: Vec<(String, f64)> = match &self.server {
-            Some(snapshot) => {
-                let mut entries = vec![("epoch".to_string(), snapshot.epoch as f64)];
-                for counter in Counter::ALL {
-                    entries.push((counter.name().to_string(), snapshot.counter(counter) as f64));
-                }
-                for stage in Stage::ALL {
-                    let Some(summary) = snapshot.stage(stage) else {
-                        continue;
-                    };
-                    let stage = stage.name();
-                    entries.push((format!("stage_{stage}_count"), summary.count as f64));
-                    entries.push((format!("stage_{stage}_p50_us"), us(summary.p50_ns)));
-                    entries.push((format!("stage_{stage}_p99_us"), us(summary.p99_ns)));
-                    entries.push((format!("stage_{stage}_max_us"), us(summary.max_ns)));
-                    entries.push((
-                        format!("stage_{stage}_mean_us"),
-                        summary.mean_ns() / 1_000.0,
-                    ));
-                }
-                entries
-            }
-            None => Vec::new(),
-        };
-        let server: Vec<(&str, f64)> = server_owned
-            .iter()
-            .map(|(name, value)| (name.as_str(), *value))
-            .collect();
-        let mut sections: Vec<(&str, &[(&str, f64)])> = vec![
-            ("results", &results),
-            ("derived", &derived),
-            ("sim", &sim),
-            ("client", &client),
-        ];
-        if !server.is_empty() {
-            sections.push(("server", &server));
-        }
-        write_sections(&sections)
     }
 
     /// Human-readable summary lines for the CLI.
@@ -312,6 +152,14 @@ impl FleetReport {
                 snapshot.counter(Counter::QueriesAnswered),
                 snapshot.counter(Counter::ProtocolErrors),
                 snapshot.counter(Counter::Reloads),
+            ));
+            out.push(format!(
+                "server: {} shed, {} overload rejections, {} reloads rate-limited, {} reload rollbacks, {} faults injected",
+                snapshot.counter(Counter::QueriesShed),
+                snapshot.counter(Counter::OverloadRejections),
+                snapshot.counter(Counter::ReloadsRateLimited),
+                snapshot.counter(Counter::ReloadRollbacks),
+                snapshot.counter(Counter::FaultsInjected),
             ));
             if let Some(frame) = snapshot.stage(Stage::Frame) {
                 out.push(format!(

@@ -49,7 +49,9 @@ pub enum Counter {
     QueriesAnswered = 5,
     /// Malformed frames and I/O errors observed on connections.
     ProtocolErrors = 6,
-    /// Worker panics contained by the pool.
+    /// Connection handlers torn down by a panic (service code, or a
+    /// compute-pool task panic re-raised on the connection thread). The
+    /// connection dies; the I/O worker and the server keep serving.
     WorkerPanics = 7,
     /// Successful hot reloads (epoch advances).
     Reloads = 8,
@@ -85,9 +87,10 @@ pub enum Counter {
     /// included, so this reconciles exactly with
     /// [`Counter::PoolTasksSubmitted`] when the pool is quiescent).
     PoolTasksExecuted = 19,
-    /// Tickets a pool worker took from another worker's deque.
+    /// Retired, always 0 — the pool has one queue; the id stays so
+    /// the dense wire catalog is not renumbered.
     PoolSteals = 20,
-    /// Tickets pushed into the pool's injector by external threads.
+    /// Tickets pushed onto the pool's queue.
     PoolInjectorPushes = 21,
     /// Times a pool worker parked with no work queued.
     PoolParks = 22,

@@ -1,4 +1,4 @@
-//! Persistent work-stealing compute pool for the IoT SENTINEL service.
+//! Persistent compute pool for the IoT SENTINEL service.
 //!
 //! Every parallel path in the workspace — batch chunking in
 //! `sentinel-core`, background recompiles behind hot reload — used to
@@ -7,27 +7,24 @@
 //! replaces all of that with one pool of pinned worker threads created
 //! once and reused for the life of the service:
 //!
-//! * **Per-worker deques + a global injector.** Each worker owns a
-//!   deque it pushes/pops at the back (LIFO, so nested jobs run
-//!   depth-first with hot caches) while idle workers steal from the
-//!   front of other deques (FIFO, so the oldest — typically outermost
-//!   and largest — jobs migrate first). External threads submit
-//!   through a shared injector queue. This is the Chase–Lev schedule
-//!   with the deques guarded by uncontended mutexes instead of the
-//!   epoch-reclamation machinery the lock-free variant needs; tasks
-//!   here are coarse (batch chunks, whole query frames), so the lock is
-//!   noise.
+//! * **One queue.** Every submission — from an outside thread or from
+//!   a task already running on a worker — pushes its tickets onto one
+//!   shared FIFO injector that idle workers pop from. Tasks here are
+//!   coarse (batch chunks, whole query frames), so one uncontended
+//!   mutex around the queue is noise, and there is exactly one place a
+//!   ticket can be.
 //! * **Fork-join over borrowed data.** [`ComputePool::for_each`] is a
 //!   scoped `join`: the job descriptor lives on the caller's stack,
 //!   workers are handed copyable *tickets* pointing at it, and the call
 //!   does not return until every task ran and every ticket has been
 //!   retired — so closures may freely borrow `&CompiledBank`, scratch
 //!   buffers, or anything else from the caller's frame.
-//! * **No oversubscription under nesting.** A task already running on a
-//!   pool worker executes sub-jobs by pushing tickets onto its own
-//!   deque and draining the task cursor itself; it never blocks waiting
-//!   for threads that do not exist and never spawns. Total live
-//!   compute threads are exactly the pool size, forever.
+//! * **No oversubscription or deadlock under nesting.** A task already
+//!   running on a pool worker executes sub-jobs by pushing tickets onto
+//!   the same queue, draining the task cursor itself and then purging
+//!   whatever tickets nobody picked up; it never blocks waiting for
+//!   threads that do not exist and never spawns. Total live compute
+//!   threads are exactly the pool size, forever.
 //! * **Panic containment.** Each task runs under `catch_unwind`; the
 //!   first panic message is captured and surfaced as a typed
 //!   [`TaskPanic`] from the submitting call. Remaining tasks still
@@ -35,7 +32,7 @@
 //!   holds even on the failure path, and the pool itself is never
 //!   poisoned.
 //! * **Warm calls are zero-allocation and zero-spawn.** Job state is
-//!   stack-allocated, tickets are `Copy`, the queues reuse their grown
+//!   stack-allocated, tickets are `Copy`, the queue reuses its grown
 //!   capacity, and `Mutex`/`Condvar` are futex-backed on Linux. The
 //!   [`thread_spawns`] counter (bumped here per worker created, and by
 //!   the `crossbeam` compat shim per scoped spawn) lets tests pin the
@@ -49,7 +46,7 @@
 //! guaranteed valid for as long as any ticket exists because the
 //! submitting call never returns before `done == tasks` **and**
 //! `outstanding == 0` — i.e. every queued ticket has been either
-//! consumed by a worker or purged from the queues by the caller, and
+//! consumed by a worker or purged from the queue by the caller, and
 //! every in-flight ticket has been retired. Workers therefore never
 //! observe a dangling job pointer.
 
@@ -151,9 +148,7 @@ pub struct PoolCounters {
     pub submitted: u64,
     /// Tasks that finished executing (panicked tasks included).
     pub executed: u64,
-    /// Tickets taken from another worker's deque.
-    pub steals: u64,
-    /// Tickets pushed by threads outside the pool into the injector.
+    /// Tickets pushed onto the pool's queue.
     pub injector_pushes: u64,
     /// Times a worker parked because no work was queued.
     pub parks: u64,
@@ -165,7 +160,6 @@ pub struct PoolCounters {
 struct CounterCells {
     submitted: AtomicU64,
     executed: AtomicU64,
-    steals: AtomicU64,
     injector_pushes: AtomicU64,
     parks: AtomicU64,
     unparks: AtomicU64,
@@ -180,8 +174,8 @@ struct CounterCells {
 /// `run` is the caller's closure with its borrow lifetime erased; see
 /// the crate-level safety section for why the erasure is sound. The
 /// `cursor` dispenses task indices to whichever threads hold tickets,
-/// which is what makes the schedule work-stealing at task granularity:
-/// a slow worker simply claims fewer indices.
+/// which balances the job at task granularity: a slow worker simply
+/// claims fewer indices.
 struct JobCore {
     run: &'static (dyn Fn(usize) + Sync),
     tasks: usize,
@@ -230,7 +224,6 @@ struct Shared {
     pool_id: usize,
     threads: usize,
     injector: Mutex<VecDeque<Ticket>>,
-    deques: Vec<Mutex<VecDeque<Ticket>>>,
     /// Queued-ticket count; the parking fast path re-checks it under
     /// `sleep` so a push can never slip between check and wait.
     pending: AtomicUsize,
@@ -240,9 +233,8 @@ struct Shared {
 }
 
 thread_local! {
-    /// `(pool_id, worker_index)` when the current thread is a pool worker.
-    static WORKER: std::cell::Cell<Option<(usize, usize)>> =
-        const { std::cell::Cell::new(None) };
+    /// The owning pool's id when the current thread is a pool worker.
+    static WORKER: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
 }
 
 static POOL_IDS: AtomicUsize = AtomicUsize::new(0);
@@ -272,7 +264,6 @@ impl ComputePool {
             pool_id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
             threads,
             injector: Mutex::new(VecDeque::new()),
-            deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
             pending: AtomicUsize::new(0),
             sleep: Mutex::new(Sleep { shutdown: false }),
             wake: Condvar::new(),
@@ -284,7 +275,7 @@ impl ComputePool {
                 note_thread_spawn();
                 std::thread::Builder::new()
                     .name(format!("sentinel-pool-{index}"))
-                    .spawn(move || worker_loop(shared, index))
+                    .spawn(move || worker_loop(shared))
                     .expect("spawning pool worker")
             })
             .collect();
@@ -302,7 +293,6 @@ impl ComputePool {
         PoolCounters {
             submitted: c.submitted.load(Ordering::Relaxed),
             executed: c.executed.load(Ordering::Relaxed),
-            steals: c.steals.load(Ordering::Relaxed),
             injector_pushes: c.injector_pushes.load(Ordering::Relaxed),
             parks: c.parks.load(Ordering::Relaxed),
             unparks: c.unparks.load(Ordering::Relaxed),
@@ -311,7 +301,7 @@ impl ComputePool {
 
     /// Whether the current thread is one of this pool's workers.
     pub fn on_worker(&self) -> bool {
-        self.current_worker().is_some()
+        WORKER.get() == Some(self.shared.pool_id)
     }
 
     /// Runs `f(0), f(1), …, f(tasks - 1)` across the pool and returns
@@ -322,7 +312,7 @@ impl ComputePool {
     ///
     /// Nested use is the designed case: when called from a task already
     /// running on one of this pool's workers, helper tickets go onto
-    /// that worker's own deque for siblings to steal — never a new
+    /// the same queue for idle siblings to pick up — never a new
     /// thread — so fan-out depth never multiplies thread count.
     ///
     /// Any task panic is contained and reported as [`TaskPanic`];
@@ -379,13 +369,6 @@ impl ComputePool {
             .take()
             .expect("run task completed without result");
         Ok(value)
-    }
-
-    fn current_worker(&self) -> Option<usize> {
-        WORKER.with(|w| match w.get() {
-            Some((pool, index)) if pool == self.shared.pool_id => Some(index),
-            _ => None,
-        })
     }
 
     /// Core submission protocol. With `participate` the caller drains
@@ -456,7 +439,7 @@ impl ComputePool {
                 }
                 execute_task(shared, &job, index);
             }
-            // Every task index is claimed; tickets still sitting in a
+            // Every task index is claimed; tickets still sitting in the
             // queue are pure bookkeeping now. Remove them ourselves so
             // completion never waits on a parked or busy worker.
             self.purge_tickets(&job);
@@ -483,22 +466,14 @@ impl ComputePool {
         // `pending` rises before the tickets become visible so a worker
         // that races past an empty queue still refuses to park.
         shared.pending.fetch_add(count, Ordering::SeqCst);
-        match self.current_worker() {
-            Some(index) => {
-                let mut deque = lock(&shared.deques[index]);
-                for _ in 0..count {
-                    deque.push_back(ticket);
-                }
-            }
-            None => {
-                shared
-                    .counters
-                    .injector_pushes
-                    .fetch_add(count as u64, Ordering::Relaxed);
-                let mut injector = lock(&shared.injector);
-                for _ in 0..count {
-                    injector.push_back(ticket);
-                }
+        shared
+            .counters
+            .injector_pushes
+            .fetch_add(count as u64, Ordering::Relaxed);
+        {
+            let mut injector = lock(&shared.injector);
+            for _ in 0..count {
+                injector.push_back(ticket);
             }
         }
         let _guard = lock(&shared.sleep);
@@ -506,25 +481,17 @@ impl ComputePool {
     }
 
     /// Removes every queued ticket for `job` (identified by pointer)
-    /// from the injector and all deques. Only sound once the job's
-    /// cursor is exhausted — a purged ticket must represent no
-    /// remaining work.
+    /// from the queue. Only sound once the job's cursor is exhausted —
+    /// a purged ticket must represent no remaining work.
     fn purge_tickets(&self, job: &JobCore) {
         let shared = &*self.shared;
         let target: *const JobCore = job;
-        let mut removed = 0usize;
-        {
+        let removed = {
             let mut injector = lock(&shared.injector);
             let before = injector.len();
             injector.retain(|ticket| !std::ptr::eq(ticket.job, target));
-            removed += before - injector.len();
-        }
-        for deque in &shared.deques {
-            let mut deque = lock(deque);
-            let before = deque.len();
-            deque.retain(|ticket| !std::ptr::eq(ticket.job, target));
-            removed += before - deque.len();
-        }
+            before - injector.len()
+        };
         if removed > 0 {
             shared.pending.fetch_sub(removed, Ordering::SeqCst);
             let mut state = lock(&job.state);
@@ -585,32 +552,14 @@ fn work_ticket(shared: &Shared, ticket: Ticket) {
     }
 }
 
-/// Pops the next ticket for worker `index`: own deque back first
-/// (LIFO), then the injector, then steals from sibling deques (FIFO).
-fn find_ticket(shared: &Shared, index: usize) -> Option<Ticket> {
-    if let Some(ticket) = lock(&shared.deques[index]).pop_back() {
-        shared.pending.fetch_sub(1, Ordering::SeqCst);
-        return Some(ticket);
-    }
-    if let Some(ticket) = lock(&shared.injector).pop_front() {
-        shared.pending.fetch_sub(1, Ordering::SeqCst);
-        return Some(ticket);
-    }
-    for offset in 1..shared.threads {
-        let victim = (index + offset) % shared.threads;
-        if let Some(ticket) = lock(&shared.deques[victim]).pop_front() {
-            shared.pending.fetch_sub(1, Ordering::SeqCst);
-            shared.counters.steals.fetch_add(1, Ordering::Relaxed);
-            return Some(ticket);
-        }
-    }
-    None
-}
-
-fn worker_loop(shared: Arc<Shared>, index: usize) {
-    WORKER.with(|w| w.set(Some((shared.pool_id, index))));
+fn worker_loop(shared: Arc<Shared>) {
+    WORKER.set(Some(shared.pool_id));
     loop {
-        if let Some(ticket) = find_ticket(&shared, index) {
+        // Popped in its own statement: the queue lock is released
+        // before the ticket is worked.
+        let next = lock(&shared.injector).pop_front();
+        if let Some(ticket) = next {
+            shared.pending.fetch_sub(1, Ordering::SeqCst);
             work_ticket(&shared, ticket);
             continue;
         }
@@ -619,7 +568,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
             return;
         }
         if shared.pending.load(Ordering::SeqCst) > 0 {
-            // A push slipped in after our queue sweep; retry instead of
+            // A push slipped in after our queue check; retry instead of
             // parking past live work.
             continue;
         }
@@ -805,6 +754,31 @@ mod tests {
         })
         .unwrap();
         assert_eq!(total.load(Ordering::SeqCst), 27);
+    }
+
+    #[test]
+    fn run_then_nested_for_each_on_pools_of_one_and_two() {
+        // The shape a > 64-fingerprint frame takes through the server:
+        // an I/O thread hands off with `run`, and the worker that picks
+        // it up fans out with `for_each` on the same pool.
+        for threads in [1, 2] {
+            let pool = ComputePool::new(threads);
+            let hits: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
+            pool.run(|| {
+                pool.for_each(hits.len(), |i| {
+                    // Only the pool's own pinned workers ever run a
+                    // task: nothing was spawned to help.
+                    assert!(pool.on_worker());
+                    hits[i].fetch_add(1, Ordering::SeqCst);
+                })
+            })
+            .unwrap()
+            .unwrap();
+            assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
+            let counters = pool.counters();
+            assert_eq!(counters.submitted, 201, "one run plus 200 tasks");
+            assert_eq!(counters.executed, counters.submitted);
+        }
     }
 
     #[test]

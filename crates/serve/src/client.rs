@@ -189,8 +189,8 @@ pub struct QueryResult {
 pub struct StampedBatch {
     /// One result per queried fingerprint, in request order.
     pub results: Vec<QueryResult>,
-    /// The serving [`sentinel_core::ServiceCell`] epoch, when the
-    /// server speaks wire v3; `None` from older servers.
+    /// The serving [`sentinel_core::ServiceCell`] epoch; `None` only
+    /// when the response was left unstamped (0 on the wire).
     pub epoch: Option<u64>,
 }
 
@@ -264,9 +264,8 @@ impl SentinelClient {
         self.stats
     }
 
-    /// The service epoch stamped on the most recent query response,
-    /// when the server speaks wire v3. `None` before the first
-    /// response or against pre-v3 servers.
+    /// The service epoch stamped on the most recent query response.
+    /// `None` before the first response.
     pub fn last_epoch(&self) -> Option<u64> {
         self.last_epoch
     }
@@ -380,10 +379,8 @@ impl SentinelClient {
     /// Fetches the server's live metrics snapshot: the lock-free
     /// registry's counters and per-stage latency histograms, overlaid
     /// with the service epoch, reload count and compiled-bank scan
-    /// counters. Requires a v3 server; pre-v3 servers answer
-    /// [`ErrorCode::UnsupportedVersion`] via an error frame. Stats is
-    /// read-only introspection and works against servers whose admin
-    /// channel is disabled.
+    /// counters. Stats is read-only introspection and works against
+    /// servers whose admin channel is disabled.
     pub fn server_stats(&mut self) -> Result<sentinel_obs::MetricsSnapshot, ClientError> {
         self.send(&Message::Stats)?;
         match self.receive()? {
@@ -404,7 +401,7 @@ impl SentinelClient {
     /// next epoch, without dropping any connection. Requires the
     /// server to run with its admin flag set.
     ///
-    /// `model` is the raw text of a v2 model document (as written by
+    /// `model` is the raw text of a model document (as written by
     /// `sentinel_core::persist::write_identifier`); its type registry
     /// must extend the served one (existing ids stable, new types
     /// appended) or the server answers

@@ -39,6 +39,5 @@ pub use client::{
 pub use sentinel_obs::{Counter, HistogramSummary, MetricsRegistry, MetricsSnapshot, Stage};
 pub use server::{serve, serve_cell, ReloadRate, ServerConfig, ServerHandle, ServerStats};
 pub use wire::{
-    ErrorCode, Message, QueryRequest, QueryResponse, ReloadAck, ReloadRequest, WireError,
-    MIN_VERSION, VERSION,
+    ErrorCode, Message, QueryRequest, QueryResponse, ReloadAck, ReloadRequest, WireError, VERSION,
 };

@@ -11,10 +11,9 @@
 //! serves one connection at a time and does **I/O only**: frames in,
 //! then the decoded batch is handed to the cell's persistent
 //! [`sentinel_pool::ComputePool`] — every connection's compute shares
-//! one fixed, work-stealing worker set sized once per cell, so
-//! concurrent batches cannot oversubscribe the machine and the warm
-//! path never spawns a thread. Shutdown is graceful — the accept loop
-//! stops taking
+//! one fixed worker set sized once per cell, so concurrent batches
+//! cannot oversubscribe the machine and the warm path never spawns a
+//! thread. Shutdown is graceful — the accept loop stops taking
 //! connections, workers finish their in-flight frame and notice the
 //! flag at the next idle poll, and [`ServerHandle::shutdown`] joins
 //! everything before returning the final stats.
@@ -26,7 +25,7 @@
 //! response is always computed against exactly one model — and
 //! re-pin at the next frame boundary with a wait-free epoch check.
 //! Writers (a [`Sentinel::reload`] in the owning process, or an admin
-//! client sending a v2 `Reload` frame when [`ServerConfig::admin`] is
+//! client sending a `Reload` frame when [`ServerConfig::admin`] is
 //! set) publish a fully-built replacement service atomically; no
 //! connection is dropped, no in-flight query torn.
 //!
@@ -68,7 +67,7 @@
 //! registry is readable three ways: in-process via
 //! [`ServerHandle::metrics`] / [`ServerHandle::metrics_snapshot`], as
 //! a [`ServerStats`] compatibility snapshot, and over the wire via the
-//! v3 `Stats` frame (answered to any peer — it is read-only
+//! `Stats` frame (answered to any peer — it is read-only
 //! introspection and deliberately not admin-gated, so dashboards can
 //! watch servers whose admin channel is off).
 
@@ -136,7 +135,7 @@ pub struct ServerConfig {
     /// server closes it, freeing its worker for queued connections.
     /// Default 60 s.
     pub idle_timeout: Duration,
-    /// Whether the admin channel is enabled: when `true`, v2 `Reload`
+    /// Whether the admin channel is enabled: when `true`, `Reload`
     /// frames hot-swap the served model; when `false` (the default)
     /// they are answered with an [`ErrorCode::AdminDisabled`] error
     /// frame and the connection is closed.
@@ -677,16 +676,11 @@ enum FrameError {
 /// `first` byte, validates it, then lands the payload in `read_buf` —
 /// resized in place, so the per-connection buffer is reused frame
 /// after frame and steady-state reads allocate nothing.
-///
-/// `peer_version` is updated as soon as the header decodes, so even a
-/// refused frame (e.g. over-cap) is answered at the version the peer
-/// actually spoke.
 fn read_frame<'a>(
     stream: &mut TcpStream,
     first: u8,
     config: &ServerConfig,
     read_buf: &'a mut Vec<u8>,
-    peer_version: &mut u8,
 ) -> Result<(FrameHeader, &'a [u8]), FrameError> {
     // A frame started: header and payload together must arrive within
     // one whole-frame deadline — dripping one byte per read cannot
@@ -696,13 +690,11 @@ fn read_frame<'a>(
     header[0] = first;
     read_exact_deadline(stream, &mut header[1..], deadline).map_err(|_| FrameError::Io)?;
     let header = wire::decode_header(&header).map_err(FrameError::Wire)?;
-    *peer_version = header.version;
     // Admin reload frames carry whole model documents; everything else
     // stays under the tight query-path cap. Without the admin flag the
     // generous cap never applies — unauthorized peers cannot make the
-    // server size a large buffer — and neither does a version-1 frame,
-    // where the reload kind cannot be valid anyway.
-    let cap = if header.kind == wire::kind::RELOAD && header.version >= 2 && config.admin {
+    // server size a large buffer.
+    let cap = if header.kind == wire::kind::RELOAD && config.admin {
         config.max_reload_bytes.max(config.max_frame_bytes)
     } else {
         config.max_frame_bytes
@@ -736,9 +728,6 @@ fn serve_connection(
     // below (wait-free unless a reload landed), never mid-frame — a
     // batch response is always computed against exactly one epoch.
     let mut pinned: ServiceEpoch = cell.load();
-    // Until a frame arrives we answer at our own version; after that,
-    // at the version the peer last spoke (v1 clients get v1 answers).
-    let mut peer_version = wire::VERSION;
     // Idle phase between frames: poll for the first header byte so the
     // worker can notice shutdown; `Ok(None)` is clean EOF or shutdown,
     // `Err` a dead socket — both end the connection.
@@ -748,10 +737,9 @@ fn serve_connection(
         // client's latency problem, not a pipeline stage.
         let frame_start;
         let decode_done;
-        let decoded = match read_frame(&mut stream, first, config, &mut read_buf, &mut peer_version)
-        {
+        let decoded = match read_frame(&mut stream, first, config, &mut read_buf) {
             Ok((header, payload)) => {
-                if header.kind == wire::kind::RELOAD && header.version >= 2 {
+                if header.kind == wire::kind::RELOAD {
                     // Admin frames are handled straight from the
                     // borrowed payload: a model document is large, and
                     // decoding it into an owned message first would
@@ -762,7 +750,6 @@ fn serve_connection(
                         let _ = send_message(
                             &mut stream,
                             &mut write_buf,
-                            peer_version,
                             &Message::Error(ErrorFrame {
                                 code: ErrorCode::AdminDisabled,
                                 message: "this server's admin channel is disabled".to_string(),
@@ -782,7 +769,6 @@ fn serve_connection(
                             if send_message(
                                 &mut stream,
                                 &mut write_buf,
-                                peer_version,
                                 &Message::Error(ErrorFrame {
                                     code: ErrorCode::Overloaded,
                                     message: "admin reload rate limit exceeded; retry after \
@@ -831,13 +817,8 @@ fn serve_connection(
                             // Serve the model we just published from
                             // this connection's next answer on.
                             cell.refresh(&mut pinned);
-                            if send_message(
-                                &mut stream,
-                                &mut write_buf,
-                                peer_version,
-                                &Message::ReloadAck(ack),
-                            )
-                            .is_err()
+                            if send_message(&mut stream, &mut write_buf, &Message::ReloadAck(ack))
+                                .is_err()
                             {
                                 break;
                             }
@@ -851,7 +832,6 @@ fn serve_connection(
                             if send_message(
                                 &mut stream,
                                 &mut write_buf,
-                                peer_version,
                                 &Message::Error(ErrorFrame {
                                     code: ErrorCode::ReloadRejected,
                                     message,
@@ -885,15 +865,14 @@ fn serve_connection(
                 // Framing is broken (or refused): report and close —
                 // the byte stream cannot be resynchronised.
                 registry.incr(Counter::ProtocolErrors);
-                let _ = send_error(&mut stream, &mut write_buf, peer_version, &error);
+                let _ = send_error(&mut stream, &mut write_buf, &error);
                 break;
             }
         };
         cell.refresh(&mut pinned);
         match decoded {
             Ok(Message::Ping) => {
-                if send_message(&mut stream, &mut write_buf, peer_version, &Message::Pong).is_err()
-                {
+                if send_message(&mut stream, &mut write_buf, &Message::Pong).is_err() {
                     break;
                 }
                 registry.incr(Counter::FramesServed);
@@ -904,7 +883,6 @@ fn serve_connection(
                     let _ = send_message(
                         &mut stream,
                         &mut write_buf,
-                        peer_version,
                         &Message::Error(ErrorFrame {
                             code: ErrorCode::BatchTooLarge,
                             message: format!(
@@ -929,7 +907,6 @@ fn serve_connection(
                     if send_message(
                         &mut stream,
                         &mut write_buf,
-                        peer_version,
                         &Message::Error(ErrorFrame {
                             code: ErrorCode::Overloaded,
                             message: format!(
@@ -947,9 +924,9 @@ fn serve_connection(
                 };
                 // Hand the decoded batch to the cell's compute pool:
                 // connection threads stay I/O-only, and concurrent
-                // connections share the pool's fixed worker set through
-                // work stealing instead of each sizing itself to all
-                // cores and oversubscribing. The whole batch —
+                // connections share the pool's fixed worker set
+                // instead of each sizing itself to all cores and
+                // oversubscribing. The whole batch —
                 // identification and name resolution — runs against
                 // the one pinned epoch. The fault hook runs inside the
                 // pool task so an injected panic is a genuine scheduled
@@ -988,7 +965,6 @@ fn serve_connection(
                 if send_message(
                     &mut stream,
                     &mut write_buf,
-                    peer_version,
                     &Message::QueryResponse(QueryResponse {
                         epoch: Some(pinned.epoch()),
                         items,
@@ -1021,7 +997,6 @@ fn serve_connection(
                 if send_message(
                     &mut stream,
                     &mut write_buf,
-                    peer_version,
                     &Message::StatsResponse(snapshot),
                 )
                 .is_err()
@@ -1039,14 +1014,13 @@ fn serve_connection(
                 let _ = send_error(
                     &mut stream,
                     &mut write_buf,
-                    peer_version,
                     &WireError::UnsupportedKind(other.kind()),
                 );
                 break;
             }
             Err(error) => {
                 registry.incr(Counter::ProtocolErrors);
-                let _ = send_error(&mut stream, &mut write_buf, peer_version, &error);
+                let _ = send_error(&mut stream, &mut write_buf, &error);
                 break;
             }
         }
@@ -1077,7 +1051,6 @@ fn stats_snapshot(
     snapshot.set_counter(Counter::ScanQueries, scan.queries);
     snapshot.set_counter(Counter::PoolTasksSubmitted, pool.submitted);
     snapshot.set_counter(Counter::PoolTasksExecuted, pool.executed);
-    snapshot.set_counter(Counter::PoolSteals, pool.steals);
     snapshot.set_counter(Counter::PoolInjectorPushes, pool.injector_pushes);
     snapshot.set_counter(Counter::PoolParks, pool.parks);
     snapshot.set_counter(Counter::PoolUnparks, pool.unparks);
@@ -1161,23 +1134,17 @@ fn read_exact_deadline(
 fn send_message(
     stream: &mut TcpStream,
     buf: &mut Vec<u8>,
-    version: u8,
     message: &Message,
 ) -> std::io::Result<()> {
     buf.clear();
-    wire::encode_frame_at(version, message, buf)
+    wire::encode_frame(message, buf)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     stream.write_all(buf)?;
     stream.flush()
 }
 
 /// Maps a decode failure to the error frame the client sees.
-fn send_error(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    version: u8,
-    error: &WireError,
-) -> std::io::Result<()> {
+fn send_error(stream: &mut TcpStream, buf: &mut Vec<u8>, error: &WireError) -> std::io::Result<()> {
     let code = match error {
         WireError::UnsupportedVersion(_) => ErrorCode::UnsupportedVersion,
         WireError::FrameTooLarge { .. } => ErrorCode::FrameTooLarge,
@@ -1187,7 +1154,6 @@ fn send_error(
     send_message(
         stream,
         buf,
-        version,
         &Message::Error(ErrorFrame {
             code,
             message: error.to_string(),
@@ -1223,16 +1189,9 @@ mod tests {
         };
         let shutdown = AtomicBool::new(false);
         let mut read_buf = Vec::new();
-        let mut peer_version = wire::VERSION;
         let mut seen = Vec::new();
         while let Ok(Some(first)) = poll_first_byte(&mut stream, &config, &shutdown) {
-            match read_frame(
-                &mut stream,
-                first,
-                &config,
-                &mut read_buf,
-                &mut peer_version,
-            ) {
+            match read_frame(&mut stream, first, &config, &mut read_buf) {
                 Ok((header, payload)) => seen.push((header.kind, payload.len())),
                 Err(_) => break,
             }

@@ -18,40 +18,26 @@
 //! | kind | message | payload |
 //! |---|---|---|
 //! | `0x01` | [`QueryRequest`] | flags `u8` (bit 0: resolve names), count `u16`, then per fingerprint: column count `u16`, columns × 23 × `u32` |
-//! | `0x02` | [`QueryResponse`] | *(v3 only)* service epoch `u64` (0 = unstamped), then count `u16`, then per item: tag `u8` (0 unknown / 1 known), type id `u32` (known only), isolation `u8` (0 strict / 1 restricted / 2 trusted), flags `u8` (bit 0: discrimination ran, bit 1: name follows), then name `u16` len + UTF-8 (flagged only) |
+//! | `0x02` | [`QueryResponse`] | service epoch `u64` (0 = unstamped), then count `u16`, then per item: tag `u8` (0 unknown / 1 known), type id `u32` (known only), isolation `u8` (0 strict / 1 restricted / 2 trusted), flags `u8` (bit 0: discrimination ran, bit 1: name follows), then name `u16` len + UTF-8 (flagged only) |
 //! | `0x03` | `Ping` | empty |
 //! | `0x04` | `Pong` | empty |
-//! | `0x05` | [`ReloadRequest`] *(v2, admin)* | the raw v2 model document bytes (see `sentinel_core::persist`) |
-//! | `0x06` | [`ReloadAck`] *(v2)* | epoch `u64`, type count `u32` |
-//! | `0x07` | `Stats` *(v3)* | empty |
-//! | `0x08` | `StatsResponse` *(v3)* | epoch `u64`, counter count `u16`, then per counter: id `u16`, value `u64`; stage count `u8`, then per stage: id `u8`, then count / sum / min / max / p50 / p90 / p99 / p999 as `u64` (durations in nanoseconds) |
+//! | `0x05` | [`ReloadRequest`] *(admin)* | the raw model document bytes (see `sentinel_core::persist`) |
+//! | `0x06` | [`ReloadAck`] | epoch `u64`, type count `u32` |
+//! | `0x07` | `Stats` | empty |
+//! | `0x08` | `StatsResponse` | epoch `u64`, counter count `u16`, then per counter: id `u16`, value `u64`; stage count `u8`, then per stage: id `u8`, then count / sum / min / max / p50 / p90 / p99 / p999 as `u64` (durations in nanoseconds) |
 //! | `0x7F` | [`ErrorFrame`] | code `u8`, message `u16` len + UTF-8 |
 //!
 //! # Version policy
 //!
-//! The current version byte is [`VERSION`] (3); every version back to
-//! [`MIN_VERSION`] (1) is still decoded, and responders answer at the
-//! version the request arrived under, so version-1 clients keep
-//! working against version-3 servers. Version 2 changes no existing
-//! payload layout — it only adds the admin `Reload`/`ReloadAck` kinds,
-//! which are rejected as [`WireError::UnsupportedKind`] when carried
-//! under version 1. Version 3 prepends the serving epoch (`u64`) to
-//! the `QueryResponse` payload — the room PR 3 reserved for
-//! epoch-aware responses — so clients can observe model hot-reload
-//! propagation per request; responses encoded at version 1 or 2 keep
-//! the old layout and simply omit the stamp. The `Stats` /
-//! `StatsResponse` kinds are a v3-compatible extension in the same
-//! mould as v2's reload kinds: no existing payload changes, the new
-//! kinds are simply rejected as [`WireError::UnsupportedKind`] under
-//! versions 1 and 2, and the snapshot payload itself is
-//! forward-compatible (counters and stages travel as `(id, value)`
-//! pairs; a decoder keeps ids it does not recognise). A receiver
-//! seeing a
-//! version outside `MIN_VERSION..=VERSION` answers with an
-//! [`ErrorCode::UnsupportedVersion`] error frame (encoded at its own
-//! version) and closes the connection; payload layouts are only ever
-//! changed under a new version byte, so a frame that decodes at all
-//! decodes unambiguously.
+//! There is one protocol version, [`VERSION`] (3). A frame carrying
+//! any other version byte is refused with a typed
+//! [`WireError::UnsupportedVersion`] — a server answers it with an
+//! [`ErrorCode::UnsupportedVersion`] error frame and closes the
+//! connection. Payload layouts only ever change under a new version
+//! byte, so a frame that decodes at all decodes unambiguously; the
+//! stats snapshot is additionally forward-compatible (counters and
+//! stages travel as `(id, value)` pairs, and a decoder keeps ids it
+//! does not recognise).
 //!
 //! # Robustness
 //!
@@ -72,15 +58,8 @@ use std::fmt;
 /// Frame magic: `"SNTL"` as a big-endian `u32`.
 pub const MAGIC: u32 = 0x534E_544C;
 
-/// Current protocol version.
+/// The protocol version — the only one encoded, decoded or answered.
 pub const VERSION: u8 = 3;
-
-/// Oldest protocol version whose `QueryResponse` payload carries the
-/// serving epoch stamp.
-pub const EPOCH_STAMP_MIN_VERSION: u8 = 3;
-
-/// Oldest protocol version still decoded (and answered in kind).
-pub const MIN_VERSION: u8 = 1;
 
 /// Size of the fixed frame header (magic + version + kind + length).
 pub const HEADER_LEN: usize = 10;
@@ -98,25 +77,16 @@ pub mod kind {
     pub const PING: u8 = 0x03;
     /// Liveness answer.
     pub const PONG: u8 = 0x04;
-    /// Model hot-reload request (v2, admin-gated server side).
+    /// Model hot-reload request (admin-gated server side).
     pub const RELOAD: u8 = 0x05;
-    /// Acknowledgement of a completed reload (v2).
+    /// Acknowledgement of a completed reload.
     pub const RELOAD_ACK: u8 = 0x06;
-    /// Metrics-snapshot request (v3).
+    /// Metrics-snapshot request.
     pub const STATS: u8 = 0x07;
-    /// Metrics-snapshot response (v3).
+    /// Metrics-snapshot response.
     pub const STATS_RESPONSE: u8 = 0x08;
     /// Protocol error report.
     pub const ERROR: u8 = 0x7F;
-}
-
-/// The oldest version a message kind can travel under.
-fn kind_min_version(kind_byte: u8) -> u8 {
-    match kind_byte {
-        kind::RELOAD | kind::RELOAD_ACK => 2,
-        kind::STATS | kind::STATS_RESPONSE => 3,
-        _ => 1,
-    }
 }
 
 /// Why a frame failed to encode or decode.
@@ -165,10 +135,7 @@ impl fmt::Display for WireError {
         match self {
             WireError::BadMagic(got) => write!(f, "bad frame magic {got:#010x}"),
             WireError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported protocol version {v} (expected {MIN_VERSION}..={VERSION})"
-                )
+                write!(f, "unsupported protocol version {v} (expected {VERSION})")
             }
             WireError::UnsupportedKind(k) => write!(f, "unsupported message kind {k:#04x}"),
             WireError::FrameTooLarge { len, max } => {
@@ -305,9 +272,8 @@ pub struct ResponseItem {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryResponse {
     /// The [`sentinel_core::ServiceCell`] epoch the whole batch was
-    /// answered under (v3; epochs start at 1, so `None` encodes as 0).
-    /// `None` for responses that travelled at version 1 or 2, whose
-    /// layout predates the stamp.
+    /// answered under. Epochs start at 1, so `None` (an unstamped
+    /// response) encodes as 0.
     pub epoch: Option<u64>,
     /// One item per queried fingerprint, in request order.
     pub items: Vec<ResponseItem>,
@@ -322,9 +288,9 @@ pub struct ErrorFrame {
     pub message: String,
 }
 
-/// An admin request to hot-swap the server's model (v2).
+/// An admin request to hot-swap the server's model.
 ///
-/// The payload is the raw bytes of a v2 model document
+/// The payload is the raw bytes of a model document
 /// (`sentinel_core::persist`); the server loads it into a fresh
 /// service and publishes it as the next epoch, provided its
 /// `TypeRegistry` extends the currently served one.
@@ -334,7 +300,7 @@ pub struct ReloadRequest {
     pub model: Vec<u8>,
 }
 
-/// The server's answer to a successful [`ReloadRequest`] (v2).
+/// The server's answer to a successful [`ReloadRequest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReloadAck {
     /// The epoch the reloaded service was published under.
@@ -354,15 +320,15 @@ pub enum Message {
     Ping,
     /// Liveness answer (server → client).
     Pong,
-    /// Model hot-reload request (admin client → server, v2).
+    /// Model hot-reload request (admin client → server).
     Reload(ReloadRequest),
-    /// Reload acknowledgement (server → admin client, v2).
+    /// Reload acknowledgement (server → admin client).
     ReloadAck(ReloadAck),
-    /// Metrics-snapshot request (client → server, v3). Read-only
+    /// Metrics-snapshot request (client → server). Read-only
     /// introspection, served whether or not the admin channel is
     /// enabled.
     Stats,
-    /// The server's metrics snapshot (server → client, v3).
+    /// The server's metrics snapshot (server → client).
     StatsResponse(MetricsSnapshot),
     /// Protocol error (server → client).
     Error(ErrorFrame),
@@ -383,19 +349,13 @@ impl Message {
             Message::Error(_) => kind::ERROR,
         }
     }
-
-    /// The oldest protocol version this message can travel under.
-    pub fn min_version(&self) -> u8 {
-        kind_min_version(self.kind())
-    }
 }
 
 /// A decoded frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// The protocol version the frame arrived under (within
-    /// [`MIN_VERSION`]`..=`[`VERSION`]). Responders answer at this
-    /// version.
+    /// The protocol version the frame arrived under (always
+    /// [`VERSION`] once [`decode_header`] accepted it).
     pub version: u8,
     /// The message-kind byte (not yet validated against known kinds).
     pub kind: u8,
@@ -413,7 +373,7 @@ pub fn decode_header(header: &[u8; HEADER_LEN]) -> Result<FrameHeader, WireError
         return Err(WireError::BadMagic(magic));
     }
     let version = header[4];
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
     let len = u32::from_be_bytes([header[6], header[7], header[8], header[9]]);
@@ -436,31 +396,11 @@ pub fn decode_header(header: &[u8; HEADER_LEN]) -> Result<FrameHeader, WireError
 /// width (batch > 65535, fingerprint > 65535 columns, name or error
 /// message > 65535 bytes, payload > `u32::MAX`).
 pub fn encode_frame(message: &Message, buf: &mut Vec<u8>) -> Result<(), WireError> {
-    encode_frame_at(VERSION, message, buf)
-}
-
-/// Like [`encode_frame`], but stamps an explicit protocol `version`
-/// byte — the path responders use to answer a request at the version
-/// it arrived under.
-///
-/// # Errors
-///
-/// As for [`encode_frame`], plus [`WireError::UnsupportedKind`] when
-/// the message does not exist at `version` (the v2 reload kinds under
-/// version 1) and [`WireError::UnsupportedVersion`] for versions this
-/// build does not speak.
-pub fn encode_frame_at(version: u8, message: &Message, buf: &mut Vec<u8>) -> Result<(), WireError> {
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(WireError::UnsupportedVersion(version));
-    }
-    if message.min_version() > version {
-        return Err(WireError::UnsupportedKind(message.kind()));
-    }
-    write_frame(version, message.kind(), buf, |buf| match message {
+    write_frame(message.kind(), buf, |buf| match message {
         Message::QueryRequest(request) => {
             encode_query_request(request.resolve_names, &request.fingerprints, buf)
         }
-        Message::QueryResponse(response) => encode_query_response(version, response, buf),
+        Message::QueryResponse(response) => encode_query_response(response, buf),
         Message::Ping | Message::Pong => Ok(()),
         Message::Reload(request) => {
             buf.put_slice(&request.model);
@@ -490,7 +430,7 @@ pub fn encode_query_request_frame(
     fingerprints: &[Fingerprint],
     buf: &mut Vec<u8>,
 ) -> Result<(), WireError> {
-    write_frame(VERSION, kind::QUERY_REQUEST, buf, |buf| {
+    write_frame(kind::QUERY_REQUEST, buf, |buf| {
         encode_query_request(resolve_names, fingerprints, buf)
     })
 }
@@ -499,14 +439,13 @@ pub fn encode_query_request_frame(
 /// patching, and rollback of `buf` to its original length on any
 /// failure.
 fn write_frame(
-    version: u8,
     kind_byte: u8,
     buf: &mut Vec<u8>,
     payload: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
 ) -> Result<(), WireError> {
     let start = buf.len();
     buf.put_u32(MAGIC);
-    buf.put_u8(version);
+    buf.put_u8(VERSION);
     buf.put_u8(kind_byte);
     buf.put_u32(0); // payload length, patched below
     let payload_start = buf.len();
@@ -527,30 +466,23 @@ fn write_frame(
     Ok(())
 }
 
-/// Decodes the payload of a frame whose header announced `kind`, at
-/// the current protocol version.
+/// Decodes the payload of a frame whose header announced `version`
+/// and `kind`.
 ///
 /// The payload must be exactly the message: trailing bytes are
 /// rejected, every count is validated against the available bytes, and
-/// no input can cause a panic.
-pub fn decode_payload(kind_byte: u8, payload: &[u8]) -> Result<Message, WireError> {
-    decode_payload_at(VERSION, kind_byte, payload)
-}
-
-/// Like [`decode_payload`], but honours the protocol `version` the
-/// frame's header carried: kinds introduced after `version` are
-/// rejected as [`WireError::UnsupportedKind`], exactly as a peer of
-/// that version would reject them.
+/// no input can cause a panic. `version` is the header's version byte
+/// and is checked here too, so a caller holding a hand-built
+/// [`FrameHeader`] gets [`WireError::UnsupportedVersion`] rather than
+/// a payload decoded under the wrong layout.
 pub fn decode_payload_at(version: u8, kind_byte: u8, payload: &[u8]) -> Result<Message, WireError> {
-    if kind_min_version(kind_byte) > version {
-        return Err(WireError::UnsupportedKind(kind_byte));
+    if version != VERSION {
+        return Err(WireError::UnsupportedVersion(version));
     }
     let mut reader = Reader::new(payload);
     let message = match kind_byte {
         kind::QUERY_REQUEST => Message::QueryRequest(decode_query_request(&mut reader)?),
-        kind::QUERY_RESPONSE => {
-            Message::QueryResponse(decode_query_response(version, &mut reader)?)
-        }
+        kind::QUERY_RESPONSE => Message::QueryResponse(decode_query_response(&mut reader)?),
         kind::PING => Message::Ping,
         kind::PONG => Message::Pong,
         kind::RELOAD => Message::Reload(ReloadRequest {
@@ -687,15 +619,9 @@ fn isolation_from_u8(value: u8) -> Result<IsolationClass, WireError> {
     })
 }
 
-fn encode_query_response(
-    version: u8,
-    response: &QueryResponse,
-    buf: &mut Vec<u8>,
-) -> Result<(), WireError> {
-    if version >= EPOCH_STAMP_MIN_VERSION {
-        // Epochs start at 1, so 0 is a safe "unstamped" sentinel.
-        buf.put_u64(response.epoch.unwrap_or(0));
-    }
+fn encode_query_response(response: &QueryResponse, buf: &mut Vec<u8>) -> Result<(), WireError> {
+    // Epochs start at 1, so 0 is a safe "unstamped" sentinel.
+    buf.put_u64(response.epoch.unwrap_or(0));
     buf.put_u16(check_u16("response count", response.items.len())?);
     for item in &response.items {
         match item.response.device_type {
@@ -726,14 +652,10 @@ fn encode_query_response(
     Ok(())
 }
 
-fn decode_query_response(version: u8, reader: &mut Reader<'_>) -> Result<QueryResponse, WireError> {
-    let epoch = if version >= EPOCH_STAMP_MIN_VERSION {
-        match reader.u64()? {
-            0 => None,
-            stamped => Some(stamped),
-        }
-    } else {
-        None
+fn decode_query_response(reader: &mut Reader<'_>) -> Result<QueryResponse, WireError> {
+    let epoch = match reader.u64()? {
+        0 => None,
+        stamped => Some(stamped),
     };
     let count = reader.u16()? as usize;
     // Each item is at least 3 bytes (tag + isolation + flags).
@@ -1003,37 +925,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_v3_responses_omit_the_epoch_stamp() {
-        let response = QueryResponse {
-            epoch: Some(17),
-            items: vec![ResponseItem {
-                response: ServiceResponse {
-                    device_type: Some(TypeId::from_index(3)),
-                    isolation: IsolationClass::Trusted,
-                    needed_discrimination: false,
-                },
-                name: None,
-            }],
-        };
-        let message = Message::QueryResponse(response.clone());
-        for version in [1u8, 2] {
-            let mut old = Vec::new();
-            encode_frame_at(version, &message, &mut old).unwrap();
-            let mut current = Vec::new();
-            encode_frame(&message, &mut current).unwrap();
-            // The old layout is exactly the v3 layout minus the 8-byte
-            // stamp: the struct field never leaks into pre-v3 bytes.
-            assert_eq!(old.len() + 8, current.len());
-            let (decoded, _) = decode_frame(&old, DEFAULT_MAX_FRAME_BYTES).unwrap();
-            let Message::QueryResponse(decoded) = decoded else {
-                panic!("expected a query response");
-            };
-            assert_eq!(decoded.epoch, None, "v{version} carries no stamp");
-            assert_eq!(decoded.items, response.items);
-        }
-    }
-
-    #[test]
     fn reload_frames_roundtrip() {
         let reload = Message::Reload(ReloadRequest {
             model: b"iot-sentinel-model v2\n...".to_vec(),
@@ -1050,45 +941,32 @@ mod tests {
     }
 
     #[test]
-    fn version_one_frames_still_decode() {
-        let mut buf = Vec::new();
-        encode_frame_at(1, &Message::Ping, &mut buf).unwrap();
-        assert_eq!(buf[4], 1);
-        let (message, consumed) = decode_frame(&buf, DEFAULT_MAX_FRAME_BYTES).unwrap();
-        assert_eq!(message, Message::Ping);
-        assert_eq!(consumed, buf.len());
-
+    fn older_versions_are_refused() {
         let request = Message::QueryRequest(QueryRequest {
             resolve_names: true,
             fingerprints: vec![fp(&[1, 2, 3])],
         });
         let mut buf = Vec::new();
-        encode_frame_at(1, &request, &mut buf).unwrap();
+        encode_frame(&request, &mut buf).unwrap();
+        assert_eq!(buf[4], VERSION);
+        let payload = buf[HEADER_LEN..].to_vec();
+        for version in [1, 2, VERSION + 1] {
+            buf[4] = version;
+            let refused = Some(WireError::UnsupportedVersion(version));
+            let mut header = [0u8; HEADER_LEN];
+            header.copy_from_slice(&buf[..HEADER_LEN]);
+            assert_eq!(decode_header(&header).err(), refused);
+            assert_eq!(decode_frame(&buf, DEFAULT_MAX_FRAME_BYTES).err(), refused);
+            // A hand-built header cannot smuggle the payload past the
+            // decoder either.
+            assert_eq!(
+                decode_payload_at(version, kind::QUERY_REQUEST, &payload).err(),
+                refused
+            );
+        }
         assert_eq!(
-            decode_frame(&buf, DEFAULT_MAX_FRAME_BYTES).unwrap().0,
-            request
-        );
-    }
-
-    #[test]
-    fn reload_kinds_do_not_exist_at_version_one() {
-        let reload = Message::Reload(ReloadRequest {
-            model: vec![1, 2, 3],
-        });
-        // A v1 peer can neither send...
-        let mut buf = Vec::new();
-        assert_eq!(
-            encode_frame_at(1, &reload, &mut buf),
-            Err(WireError::UnsupportedKind(kind::RELOAD))
-        );
-        assert!(buf.is_empty(), "refused encode must leave no bytes");
-        // ...nor receive reload kinds: a v2 reload frame rewritten to
-        // claim version 1 is rejected as an unknown kind.
-        encode_frame(&reload, &mut buf).unwrap();
-        buf[4] = 1;
-        assert_eq!(
-            decode_frame(&buf, DEFAULT_MAX_FRAME_BYTES),
-            Err(WireError::UnsupportedKind(kind::RELOAD))
+            decode_payload_at(VERSION, kind::QUERY_REQUEST, &payload),
+            Ok(request)
         );
     }
 
@@ -1122,35 +1000,6 @@ mod tests {
         snapshot.stages.push((200, Default::default()));
         let response = Message::StatsResponse(snapshot.clone());
         assert_eq!(roundtrip(&response), response);
-    }
-
-    #[test]
-    fn stats_kinds_do_not_exist_before_version_three() {
-        for version in [1u8, 2] {
-            let mut buf = Vec::new();
-            assert_eq!(
-                encode_frame_at(version, &Message::Stats, &mut buf),
-                Err(WireError::UnsupportedKind(kind::STATS))
-            );
-            assert_eq!(
-                encode_frame_at(
-                    version,
-                    &Message::StatsResponse(sample_snapshot()),
-                    &mut buf
-                ),
-                Err(WireError::UnsupportedKind(kind::STATS_RESPONSE))
-            );
-            assert!(buf.is_empty(), "refused encode must leave no bytes");
-            // A v3 stats frame rewritten to claim an older version is
-            // rejected exactly as an old peer would reject it.
-            encode_frame(&Message::Stats, &mut buf).unwrap();
-            buf[4] = version;
-            assert_eq!(
-                decode_frame(&buf, DEFAULT_MAX_FRAME_BYTES),
-                Err(WireError::UnsupportedKind(kind::STATS))
-            );
-            buf.clear();
-        }
     }
 
     #[test]
@@ -1203,12 +1052,14 @@ mod tests {
             decode_frame(&bad_magic, DEFAULT_MAX_FRAME_BYTES),
             Err(WireError::BadMagic(_))
         ));
-        let mut bad_version = buf.clone();
-        bad_version[4] = VERSION + 1;
-        assert_eq!(
-            decode_frame(&bad_version, DEFAULT_MAX_FRAME_BYTES),
-            Err(WireError::UnsupportedVersion(VERSION + 1))
-        );
+        for version in [1, 2, VERSION + 1] {
+            let mut bad_version = buf.clone();
+            bad_version[4] = version;
+            assert_eq!(
+                decode_frame(&bad_version, DEFAULT_MAX_FRAME_BYTES),
+                Err(WireError::UnsupportedVersion(version))
+            );
+        }
     }
 
     #[test]
@@ -1276,7 +1127,7 @@ mod tests {
         buf.put_u16(u16::MAX); // fingerprint count
         buf.put_u16(3); // columns of "first" fingerprint
         assert_eq!(
-            decode_payload(kind::QUERY_REQUEST, &buf),
+            decode_payload_at(VERSION, kind::QUERY_REQUEST, &buf),
             Err(WireError::Truncated)
         );
     }
@@ -1285,13 +1136,13 @@ mod tests {
     fn out_of_domain_enums_are_rejected() {
         // Isolation byte 9 in a one-item response.
         let mut buf = Vec::new();
-        buf.put_u64(0); // v3 epoch stamp (unstamped)
+        buf.put_u64(0); // epoch stamp (unstamped)
         buf.put_u16(1);
         buf.put_u8(ITEM_TAG_UNKNOWN);
         buf.put_u8(9); // isolation
         buf.put_u8(0); // flags
         assert_eq!(
-            decode_payload(kind::QUERY_RESPONSE, &buf),
+            decode_payload_at(VERSION, kind::QUERY_RESPONSE, &buf),
             Err(WireError::BadValue {
                 field: "isolation class",
                 value: 9
@@ -1302,7 +1153,7 @@ mod tests {
         buf.put_u8(0b1000_0000);
         buf.put_u16(0);
         assert!(matches!(
-            decode_payload(kind::QUERY_REQUEST, &buf),
+            decode_payload_at(VERSION, kind::QUERY_REQUEST, &buf),
             Err(WireError::BadValue {
                 field: "request flags",
                 ..
@@ -1313,7 +1164,7 @@ mod tests {
     #[test]
     fn bad_utf8_name_is_rejected() {
         let mut buf = Vec::new();
-        buf.put_u64(0); // v3 epoch stamp (unstamped)
+        buf.put_u64(0); // epoch stamp (unstamped)
         buf.put_u16(1);
         buf.put_u8(ITEM_TAG_KNOWN);
         buf.put_u32(3);
@@ -1322,7 +1173,7 @@ mod tests {
         buf.put_u16(2);
         buf.put_slice(&[0xFF, 0xFE]);
         assert_eq!(
-            decode_payload(kind::QUERY_RESPONSE, &buf),
+            decode_payload_at(VERSION, kind::QUERY_RESPONSE, &buf),
             Err(WireError::BadUtf8)
         );
     }
@@ -1370,7 +1221,9 @@ mod tests {
                 buf.put_u32(i);
             }
         }
-        let Ok(Message::QueryRequest(request)) = decode_payload(kind::QUERY_REQUEST, &buf) else {
+        let Ok(Message::QueryRequest(request)) =
+            decode_payload_at(VERSION, kind::QUERY_REQUEST, &buf)
+        else {
             panic!("request must decode");
         };
         assert_eq!(request.fingerprints[0].len(), 1);

@@ -123,23 +123,25 @@ fn malformed_frames_do_not_kill_the_server() {
     let _ = raw.read_to_end(&mut sink); // server closes on us
     drop(raw);
 
-    // 2. Wrong version byte: typed unsupported-version error frame.
-    let mut raw = TcpStream::connect(addr).expect("connect raw");
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let mut frame = Vec::new();
-    wire::encode_frame(&Message::Ping, &mut frame).unwrap();
-    frame[4] = VERSION + 9;
-    raw.write_all(&frame).expect("write bad version");
-    let mut response = Vec::new();
-    raw.read_to_end(&mut response).expect("read error frame");
-    assert!(response.len() >= HEADER_LEN, "expected an error frame back");
-    let (message, _) =
-        wire::decode_frame(&response, wire::DEFAULT_MAX_FRAME_BYTES).expect("decode error frame");
-    match message {
-        Message::Error(e) => assert_eq!(e.code, ErrorCode::UnsupportedVersion),
-        other => panic!("expected error frame, got {other:?}"),
+    // 2. Any version byte but ours — the retired v1 and v2 included —
+    //    gets a typed unsupported-version error frame and a close.
+    for version in [1, 2, VERSION + 9] {
+        let mut raw = TcpStream::connect(addr).expect("connect raw");
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut frame = Vec::new();
+        wire::encode_frame(&Message::Ping, &mut frame).unwrap();
+        frame[4] = version;
+        raw.write_all(&frame).expect("write bad version");
+        let mut response = Vec::new();
+        raw.read_to_end(&mut response).expect("read error frame");
+        assert!(response.len() >= HEADER_LEN, "expected an error frame back");
+        let (message, _) = wire::decode_frame(&response, wire::DEFAULT_MAX_FRAME_BYTES)
+            .expect("decode error frame");
+        match message {
+            Message::Error(e) => assert_eq!(e.code, ErrorCode::UnsupportedVersion),
+            other => panic!("expected error frame, got {other:?}"),
+        }
     }
-    drop(raw);
 
     // 3. Oversized length prefix: refused before allocation.
     let mut raw = TcpStream::connect(addr).expect("connect raw");
@@ -168,7 +170,7 @@ fn malformed_frames_do_not_kill_the_server() {
     assert_eq!(result.response.isolation, IsolationClass::Trusted);
 
     let stats = handle.shutdown();
-    assert!(stats.protocol_errors >= 3, "stats: {stats:?}");
+    assert!(stats.protocol_errors >= 5, "stats: {stats:?}");
     assert_eq!(stats.queries_answered, 1);
 }
 
@@ -359,7 +361,7 @@ fn active_gauge_returns_to_zero_after_abusive_clients() {
 }
 
 /// The served model with one extra incrementally learned type, as a
-/// persisted v2 document.
+/// persisted document.
 fn extended_model_doc(svc: &IoTSecurityService) -> (Vec<u8>, Fingerprint) {
     let mut identifier = svc.identifier().clone();
     let new_fps: Vec<Fingerprint> = (0..10)
@@ -471,11 +473,25 @@ fn reload_with_a_mismatched_registry_is_rejected() {
         }
         other => panic!("expected a reload-rejected error, got {other:?}"),
     }
-    // A garbage document is rejected the same way, and the connection
-    // stays usable through both refusals.
-    match client.reload(b"not a model".to_vec()) {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::ReloadRejected),
-        other => panic!("expected a reload-rejected error, got {other:?}"),
+    // A garbage document and a retired v1 document (v1 header, no
+    // registry section) are rejected the same way, and the connection
+    // stays usable through every refusal.
+    let mut own_doc = Vec::new();
+    persist::write_identifier(&mut own_doc, service().identifier()).unwrap();
+    let own_doc = String::from_utf8(own_doc).unwrap();
+    let v1_doc = format!(
+        "iot-sentinel-model v1\n{}{}",
+        &own_doc[own_doc.find("config ").unwrap()..own_doc.find("registry ").unwrap()],
+        &own_doc[own_doc.find("types ").unwrap()..],
+    );
+    for doc in [b"not a model".to_vec(), v1_doc.into_bytes()] {
+        match client.reload(doc) {
+            Err(ClientError::Server { code, message }) => {
+                assert_eq!(code, ErrorCode::ReloadRejected);
+                assert!(message.contains("line 1"), "message: {message}");
+            }
+            other => panic!("expected a reload-rejected error, got {other:?}"),
+        }
     }
     client.ping().expect("connection survives refused reloads");
     let stats = handle.shutdown();

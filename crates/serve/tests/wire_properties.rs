@@ -98,7 +98,7 @@ proptest! {
         // Any outcome is fine except a panic.
         let _ = decode_frame(&bytes, DEFAULT_MAX_FRAME_BYTES);
         for kind in 0u8..=255 {
-            let _ = wire::decode_payload(kind, &bytes);
+            let _ = wire::decode_payload_at(wire::VERSION, kind, &bytes);
         }
     }
 

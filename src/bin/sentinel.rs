@@ -76,9 +76,9 @@ USAGE:
       the bound address, optionally writes the port to --port-file,
       and runs until terminated. With --admin, `sentinel reload` can
       hot-swap the served model. --workers sizes the I/O connection
-      pool; --compute-threads sizes the work-stealing compute pool all
-      batches and reloads run on (default: the SENTINEL_POOL_THREADS
-      environment variable, else all cores).
+      pool; --compute-threads sizes the compute pool all batches and
+      reloads run on (default: the SENTINEL_POOL_THREADS environment
+      variable, else all cores).
 
   sentinel query --addr HOST:PORT --pcap <FILE> [--ignore-mac <MAC>]
       Identify every device in a pcap against a *running* server —
@@ -102,7 +102,7 @@ USAGE:
                  [--addr HOST:PORT] [--no-reload] [--chaos SEED]
       Simulate a device fleet (enrollment ramp, setup bursts, steady
       re-fingerprinting, standby/wake, churn) and replay it against a
-      live server, writing BENCH_fleet.json. Without --addr it trains
+      live server, printing a summary. Without --addr it trains
       a model from the catalog and self-hosts on an ephemeral port,
       firing a hot reload mid-run to measure epoch-propagation lag
       (--no-reload skips it; against an external --addr the reload
@@ -843,10 +843,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
         audit_chaos(plan, &injected, &report, handle)?;
     }
 
-    let path = report
-        .write()
-        .map_err(|e| format!("writing BENCH_fleet.json: {e}"))?;
-    println!("wrote {}", path.display());
     if let Some(handle) = server_handle {
         handle.shutdown();
     }

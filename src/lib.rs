@@ -71,7 +71,7 @@
 //! | [`devices`] | `sentinel-devices` | the 27 Table-II device behaviour profiles + simulator |
 //! | [`fingerprint`] | `sentinel-fingerprint` | 23 features, F, F′, datasets, k-fold |
 //! | [`ml`] | `sentinel-ml` | Random Forest, metrics |
-//! | [`pool`] | `sentinel-pool` | persistent work-stealing compute pool behind all parallel paths |
+//! | [`pool`] | `sentinel-pool` | persistent compute pool behind all parallel paths |
 //! | [`editdist`] | `sentinel-editdist` | Damerau-Levenshtein over packet words |
 //! | [`core`] | `sentinel-core` | two-stage identifier, IoTSSP, TypeRegistry, vulnerability DB |
 //! | [`gateway`] | `sentinel-gateway` | SDN switch/controller, rules, overlays, testbed |
