@@ -1,10 +1,10 @@
 //! The threaded TCP query server: an [`IoTSecurityService`] behind a
 //! listening socket, hot-swappable under live traffic.
 //!
-//! Architecture: one accept thread owns the [`TcpListener`] (run
-//! non-blocking and polled, so shutdown is always observed) and feeds
-//! accepted connections into a **bounded** channel drained by a fixed
-//! pool of worker threads (built on the `crossbeam` scoped-thread
+//! Architecture: one accept thread owns the [`TcpListener`], blocks in
+//! `accept` (a connection is handed off the moment it arrives) and
+//! feeds accepted connections into a **bounded** channel drained by a
+//! fixed pool of worker threads (built on the `crossbeam` scoped-thread
 //! shim, so the workers borrow the shared [`ServiceCell`] instead of
 //! cloning it); connection bursts beyond pool + backlog are refused at
 //! accept time rather than parked on an unbounded queue. Each worker
@@ -13,9 +13,9 @@
 //! [`sentinel_pool::ComputePool`] — every connection's compute shares
 //! one fixed worker set sized once per cell, so concurrent batches
 //! cannot oversubscribe the machine and the warm path never spawns a
-//! thread. Shutdown is graceful — the accept loop stops taking
-//! connections, workers finish their in-flight frame and notice the
-//! flag at the next idle poll, and [`ServerHandle::shutdown`] joins
+//! thread. Shutdown is graceful — a flag and one throw-away connection
+//! wake `accept`, workers finish their in-flight frame and notice the
+//! flag at their next idle check, and [`ServerHandle::shutdown`] joins
 //! everything before returning the final stats.
 //!
 //! # Epochs and hot reload
@@ -72,7 +72,7 @@
 //! watch servers whose admin channel is off).
 
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -113,19 +113,27 @@ pub struct ReloadRate {
     pub refill_per_sec: f64,
 }
 
+/// How often an idle connection re-checks the shutdown flag: a read
+/// returns the moment a byte arrives, so this bounds shutdown latency only.
+const SHUTDOWN_CHECK: Duration = Duration::from_millis(100);
+
+/// Pause after a failed `accept` or wake connect, so a persistent
+/// error (`EMFILE`) cannot spin a loop that otherwise never sleeps.
+const ERROR_PAUSE: Duration = Duration::from_millis(100);
+
 /// Tunables for [`serve`].
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Worker threads (= concurrently served connections). Default 4.
+    /// Worker threads (= concurrently served connections), with a
+    /// hand-off backlog of `workers * 4` accepted connections behind
+    /// them; a burst beyond both is closed at accept time and counted
+    /// in [`ServerStats::connections_refused`]. Default 4.
     pub workers: usize,
     /// Maximum accepted payload length per frame. Frames announcing
     /// more are refused before any allocation. Default 1 MiB.
     pub max_frame_bytes: u32,
     /// Maximum fingerprints per query batch. Default 4096.
     pub max_batch: usize,
-    /// How often the accept loop and idle connections check the
-    /// shutdown flag. Default 100 ms.
-    pub poll_interval: Duration,
     /// Whole-frame read deadline: once a frame's first byte arrives,
     /// the rest of the frame must arrive within this budget or the
     /// connection is dropped (slow-loris guard — the deadline spans
@@ -186,7 +194,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("workers", &self.workers)
             .field("max_frame_bytes", &self.max_frame_bytes)
             .field("max_batch", &self.max_batch)
-            .field("poll_interval", &self.poll_interval)
             .field("io_timeout", &self.io_timeout)
             .field("idle_timeout", &self.idle_timeout)
             .field("admin", &self.admin)
@@ -212,7 +219,6 @@ impl Default for ServerConfig {
             workers: 4,
             max_frame_bytes: wire::DEFAULT_MAX_FRAME_BYTES,
             max_batch: 4096,
-            poll_interval: Duration::from_millis(100),
             io_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(60),
             admin: false,
@@ -461,21 +467,34 @@ impl ServerHandle {
 
     fn signal_and_join(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // The accept loop runs the listener in non-blocking mode and
-        // polls the flag, so no wake-up connection is needed (one
-        // would not even be possible for binds to unconnectable
-        // addresses like 0.0.0.0).
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+        let Some(handle) = self.accept.take() else {
+            return;
+        };
+        // The accept thread is blocked in `accept`: one connection made
+        // after the flag is set wakes it (a wildcard bind is reached
+        // through the loopback of its family). `ConnectionRefused`
+        // means the listener is already gone; any other failure is
+        // retried until the thread exits, so it cannot hang the join.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
+        while !handle.is_finished()
+            && TcpStream::connect(wake)
+                .is_err_and(|e| e.kind() != std::io::ErrorKind::ConnectionRefused)
+        {
+            std::thread::sleep(ERROR_PAUSE);
+        }
+        let _ = handle.join();
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.accept.is_some() {
-            self.signal_and_join();
-        }
+        self.signal_and_join();
     }
 }
 
@@ -512,10 +531,6 @@ pub fn serve_cell(
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    // The accept loop polls a non-blocking listener so shutdown is
-    // always observed; failing to get that mode must fail the bind,
-    // not silently degrade into a join-forever shutdown.
-    listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
     // One stage-histogram shard per worker: a worker only ever records
@@ -590,36 +605,35 @@ fn run(
                 }
             });
         }
-        // Non-blocking accept + poll (mode set at bind time): shutdown
-        // can never be missed, no matter what address is bound.
-        while !shutdown.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // Hand-off runs in blocking mode again.
-                    let _ = stream.set_nonblocking(false);
-                    match sender.try_send(stream) {
-                        Ok(()) => {
-                            registry.incr(Counter::ConnectionsAccepted);
-                        }
-                        Err(mpsc::TrySendError::Full(stream)) => {
-                            // Pool saturated and backlog full: refuse
-                            // by closing instead of parking the fd.
-                            registry.incr(Counter::ConnectionsRefused);
-                            drop(stream);
-                        }
-                        Err(mpsc::TrySendError::Disconnected(_)) => break,
+        // Blocking accept: shutdown sets the flag, then wakes this call
+        // with a throw-away connection. The flag is checked before the
+        // hand-off so that connection is never counted or served.
+        loop {
+            let accepted = listener.accept();
+            if shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            match accepted {
+                Ok((stream, _)) => match sender.try_send(stream) {
+                    Ok(()) => {
+                        registry.incr(Counter::ConnectionsAccepted);
                     }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(config.poll_interval);
-                }
-                Err(_) => {
-                    // Transient accept failure (EMFILE, aborted
-                    // handshake); keep listening.
-                    std::thread::sleep(config.poll_interval);
-                }
+                    Err(mpsc::TrySendError::Full(stream)) => {
+                        // Pool saturated and backlog full: refuse
+                        // by closing instead of parking the fd.
+                        registry.incr(Counter::ConnectionsRefused);
+                        drop(stream);
+                    }
+                    Err(mpsc::TrySendError::Disconnected(_)) => break,
+                },
+                // Transient accept failure (EMFILE, aborted
+                // handshake); keep listening.
+                Err(_) => std::thread::sleep(ERROR_PAUSE),
             }
         }
+        // Closed before the workers drain: late connects are refused at
+        // once instead of parking in a backlog nobody will accept from.
+        drop(listener);
         drop(sender);
     })
     .expect("server scope failed");
@@ -1071,20 +1085,24 @@ fn handle_reload(cell: &ServiceCell, model_doc: &[u8]) -> Result<ReloadAck, Stri
 
 /// Waits for the first byte of the next frame, returning `None` on
 /// clean EOF, shutdown, or after [`ServerConfig::idle_timeout`] of
-/// silence (so an idle connection cannot pin its worker forever).
-/// Short timeouts between polls only trigger a shutdown-flag check.
+/// silence (so an idle connection cannot pin its worker forever). A
+/// read that times out before then only re-checks the shutdown flag.
 fn poll_first_byte(
     stream: &mut TcpStream,
     config: &ServerConfig,
     shutdown: &AtomicBool,
 ) -> std::io::Result<Option<u8>> {
-    stream.set_read_timeout(Some(config.poll_interval))?;
     let idle_deadline = Instant::now() + config.idle_timeout;
     let mut byte = [0u8; 1];
     loop {
-        if shutdown.load(Ordering::SeqCst) || Instant::now() >= idle_deadline {
+        let idle_left = idle_deadline.saturating_duration_since(Instant::now());
+        if shutdown.load(Ordering::SeqCst) || idle_left.is_zero() {
             return Ok(None);
         }
+        // Wake at the idle deadline, not up to one check past it
+        // (set_read_timeout rejects a zero Duration; clamp up).
+        let wait = idle_left.clamp(Duration::from_millis(1), SHUTDOWN_CHECK);
+        stream.set_read_timeout(Some(wait))?;
         match stream.read(&mut byte) {
             Ok(0) => return Ok(None),
             Ok(_) => return Ok(Some(byte[0])),

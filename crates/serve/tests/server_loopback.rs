@@ -60,7 +60,6 @@ fn service() -> IoTSecurityService {
 fn test_config() -> ServerConfig {
     ServerConfig {
         workers: 4,
-        poll_interval: Duration::from_millis(20),
         io_timeout: Duration::from_secs(5),
         ..ServerConfig::default()
     }
@@ -510,4 +509,134 @@ fn shutdown_is_graceful_while_clients_are_connected() {
     assert!(stats.connections_accepted >= 1);
     assert_eq!(stats.connections_active, 0, "workers drained: {stats:?}");
     drop(idle);
+}
+
+#[test]
+fn fresh_connections_are_served_without_waiting_for_a_poll() {
+    let svc = service();
+    let probe = fp_bits(0b001, &[104, 110, 120]);
+    let expected = svc.handle(&probe);
+    let handle = serve(svc, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = handle.local_addr();
+
+    // Connect + first answer, after idle gaps spread over 2..=97 ms so
+    // no phase of a hypothetical accept sleep can hide: the accept
+    // thread is blocked in `accept`, so each connection is handed to a
+    // worker the moment it arrives.
+    let rounds = 20u32;
+    let mut total = Duration::ZERO;
+    for round in 0..rounds {
+        std::thread::sleep(Duration::from_millis(2 + 5 * u64::from(round)));
+        let start = std::time::Instant::now();
+        let mut client = SentinelClient::connect(addr, ClientConfig::default()).expect("connect");
+        let result = client.query(&probe).expect("query");
+        total += start.elapsed();
+        assert_eq!(result.response, expected);
+    }
+    let mean = total / rounds;
+    assert!(
+        mean < Duration::from_millis(5),
+        "connect + first answer took a mean of {mean:?}: something on the accept path sleeps"
+    );
+    let stats = handle.shutdown();
+    assert_eq!(stats.connections_accepted, u64::from(rounds));
+}
+
+/// Runs `f` on its own thread and fails the test — instead of hanging
+/// it — when `f` has not returned within two seconds.
+fn within_two_seconds<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, result) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(f()));
+    result
+        .recv_timeout(Duration::from_secs(2))
+        .unwrap_or_else(|_| panic!("{what} did not return within 2 s"))
+}
+
+#[test]
+fn shutdown_wakes_a_blocked_accept_on_every_kind_of_bind() {
+    // No client ever connects: the accept thread sits in a blocking
+    // `accept` until shutdown wakes it. The wildcard binds cannot be
+    // connected to as-is; the wake goes through the loopback of the
+    // same family.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0", "[::1]:0", "[::]:0"] {
+        for drop_it in [false, true] {
+            let handle = match serve(service(), addr, test_config()) {
+                Ok(handle) => handle,
+                // Hosts without IPv6 cannot bind the last two.
+                Err(_) if addr.starts_with('[') => continue,
+                Err(e) => panic!("bind {addr}: {e}"),
+            };
+            if drop_it {
+                within_two_seconds(&format!("dropping the handle on {addr}"), move || {
+                    drop(handle)
+                });
+            } else {
+                let stats =
+                    within_two_seconds(&format!("shutdown on {addr}"), move || handle.shutdown());
+                // The wake connection is nobody's client.
+                assert_eq!(stats.connections_accepted, 0, "{addr}: {stats:?}");
+                assert_eq!(stats.connections_refused, 0, "{addr}: {stats:?}");
+                assert_eq!(stats.connections_active, 0, "{addr}: {stats:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn bursts_beyond_workers_and_backlog_are_refused_and_counted() {
+    let config = ServerConfig {
+        workers: 1,
+        ..test_config()
+    };
+    let handle = serve(service(), "127.0.0.1:0", config).expect("bind");
+    let addr = handle.local_addr();
+
+    // An answered ping proves the only worker has taken this connection
+    // off the hand-off channel and is now pinned to it…
+    let mut holder = SentinelClient::connect(addr, ClientConfig::default()).expect("connect");
+    holder.ping().expect("ping");
+    // …so four more connections fill the `workers * 4` backlog…
+    let mut queued: Vec<TcpStream> = (0..4)
+        .map(|_| TcpStream::connect(addr).expect("connect queued"))
+        .collect();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while handle.stats().connections_accepted < 5 {
+        let stats = handle.stats();
+        assert!(
+            std::time::Instant::now() < deadline,
+            "backlog never filled: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // …and the sixth completes its TCP handshake, then is closed at
+    // accept time instead of parked: EOF (or a reset), never an answer.
+    let mut refused = TcpStream::connect(addr).expect("connect refused");
+    refused
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut sink = Vec::new();
+    match refused.read_to_end(&mut sink) {
+        Ok(n) => assert_eq!(n, 0, "a refused connection is sent nothing"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    // The refusal was counted before the close the client just saw.
+    assert_eq!(handle.stats().connections_refused, 1);
+    assert_eq!(handle.stats().connections_accepted, 5);
+
+    // Freeing the worker lets the oldest queued connection be served.
+    drop(holder);
+    let mut ping = Vec::new();
+    wire::encode_frame(&Message::Ping, &mut ping).unwrap();
+    let next = &mut queued[0];
+    next.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    next.write_all(&ping).expect("write ping");
+    let mut pong = [0u8; HEADER_LEN];
+    next.read_exact(&mut pong).expect("read pong");
+    let (message, _) = wire::decode_frame(&pong, wire::DEFAULT_MAX_FRAME_BYTES).expect("decode");
+    assert_eq!(message, Message::Pong);
+
+    let stats = handle.shutdown();
+    assert_eq!(stats.connections_accepted, 5);
+    assert_eq!(stats.connections_refused, 1);
+    assert_eq!(stats.connections_active, 0, "workers drained: {stats:?}");
 }

@@ -136,7 +136,6 @@ fn chaos_soak_contains_every_fault_and_reconciles_exactly() {
             "127.0.0.1:0",
             ServerConfig {
                 workers: 6,
-                poll_interval: Duration::from_millis(20),
                 io_timeout: Duration::from_secs(5),
                 max_inflight: 2,
                 queue_deadline: Duration::from_millis(25),
@@ -257,7 +256,6 @@ fn rerunning_the_same_soak_seed_injects_the_same_faults() {
                 "127.0.0.1:0",
                 ServerConfig {
                     workers: 2,
-                    poll_interval: Duration::from_millis(20),
                     ..ServerConfig::default()
                 },
             )

@@ -125,7 +125,6 @@ fn loopback_fleet_survives_churn_and_a_reload_with_zero_errors() {
             "127.0.0.1:0",
             ServerConfig {
                 workers: 4,
-                poll_interval: Duration::from_millis(20),
                 ..ServerConfig::default()
             },
         )

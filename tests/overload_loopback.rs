@@ -80,7 +80,6 @@ fn blockable_config(block: &Arc<AtomicBool>, entered: &Arc<AtomicU64>) -> Server
     let entered = Arc::clone(entered);
     ServerConfig {
         workers: 4,
-        poll_interval: Duration::from_millis(20),
         io_timeout: Duration::from_secs(5),
         max_inflight: 1,
         queue_deadline: Duration::ZERO,
@@ -274,7 +273,6 @@ fn reload_rate_limit_refuses_with_retryable_overloaded() {
             "127.0.0.1:0",
             ServerConfig {
                 workers: 2,
-                poll_interval: Duration::from_millis(20),
                 admin: true,
                 reload_rate: Some(ReloadRate {
                     burst: 1,
@@ -338,7 +336,6 @@ fn reload_panic_rolls_back_and_answers_typed_rejection() {
             "127.0.0.1:0",
             ServerConfig {
                 workers: 2,
-                poll_interval: Duration::from_millis(20),
                 admin: true,
                 reload_fault_injection: Some(Arc::new(move |_payload| {
                     if hook_flag.swap(false, Ordering::SeqCst) {

@@ -68,7 +68,6 @@ fn probes(n: usize) -> Vec<Fingerprint> {
 fn server_config() -> ServerConfig {
     ServerConfig {
         workers: 6,
-        poll_interval: Duration::from_millis(20),
         ..ServerConfig::default()
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! The test drives the loopback server synchronously (one round-trip
 //! at a time), so every allocation inside the measured window belongs
-//! to the frame path: the accept thread and idle workers only poll
-//! with stack buffers.
+//! to the frame path: the accept thread is blocked in `accept` for the
+//! whole window.
 //!
 //! The compute-pool redesign adds two pins on the same window: the
 //! batch hand-off now runs on the cell's persistent pool, so warm
@@ -98,7 +98,6 @@ fn steady_state_frames_allocate_nothing_on_the_read_side() {
             "127.0.0.1:0",
             ServerConfig {
                 workers: 1,
-                poll_interval: Duration::from_millis(20),
                 ..ServerConfig::default()
             },
         )

@@ -133,7 +133,6 @@ fn stats_polls_stay_consistent_under_fire_and_reload() {
             "127.0.0.1:0",
             ServerConfig {
                 workers: 6,
-                poll_interval: Duration::from_millis(20),
                 ..ServerConfig::default()
             },
         )
