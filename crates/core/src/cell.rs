@@ -31,6 +31,16 @@
 //! [`ServiceCell::replace_identifier`] enforce this under the writer
 //! lock, so concurrent reloads serialize and each validates against
 //! the service it actually replaces.
+//!
+//! # Knowledge edits
+//!
+//! [`ServiceCell::update`] is the third writer: it runs an edit (a new
+//! advisory, an incrementally learned device type) on a clone of the
+//! current epoch and publishes the result as the next one. The edit
+//! runs under the writer lock but outside the reader mutex, so queries
+//! keep pinning the old epoch meanwhile, and no reload published
+//! between the clone and the swap can be silently undone. A failed
+//! edit publishes nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -48,6 +58,9 @@ pub struct ServiceCell {
     /// The current service. The mutex guards the *swap*, not queries:
     /// readers hold it only long enough to clone the `Arc`.
     current: Mutex<Arc<IoTSecurityService>>,
+    /// Serializes writers, so each validates against (and an edit
+    /// starts from) the service it actually replaces.
+    writer: Mutex<()>,
     /// Epoch of `current`, written inside the lock, readable without
     /// it (the wait-free fast path of [`ServiceCell::refresh`]).
     epoch: AtomicU64,
@@ -105,6 +118,7 @@ impl ServiceCell {
     pub fn with_pool(service: IoTSecurityService, pool: Arc<ComputePool>) -> Self {
         ServiceCell {
             current: Mutex::new(Arc::new(service)),
+            writer: Mutex::new(()),
             epoch: AtomicU64::new(1),
             reloads: AtomicU64::new(0),
             pool,
@@ -122,18 +136,15 @@ impl ServiceCell {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Successful [`ServiceCell::replace`]/[`replace_identifier`]
-    /// swaps so far (`epoch - 1`, kept separately for stats
-    /// reporting).
-    ///
-    /// [`replace_identifier`]: ServiceCell::replace_identifier
+    /// Successful swaps so far, edits included (`epoch - 1`, kept
+    /// separately for stats reporting).
     pub fn reloads(&self) -> u64 {
         self.reloads.load(Ordering::Acquire)
     }
 
     /// Pins the current epoch: one `Arc` clone under the lock.
     pub fn load(&self) -> ServiceEpoch {
-        let guard = self.lock();
+        let guard = lock(&self.current);
         ServiceEpoch {
             service: Arc::clone(&guard),
             // Read inside the lock, so the pair is always consistent.
@@ -162,9 +173,9 @@ impl ServiceCell {
     /// [`RegistryMismatch`] when the replacement would invalidate an
     /// already-issued [`crate::TypeId`]; the cell is left untouched.
     pub fn replace(&self, service: IoTSecurityService) -> Result<u64, RegistryMismatch> {
-        let mut guard = self.lock();
-        service.registry().ensure_extends(guard.registry())?;
-        Ok(self.publish(&mut guard, service))
+        let _writer = lock(&self.writer);
+        service.registry().ensure_extends(self.load().registry())?;
+        Ok(self.publish(service))
     }
 
     /// Publishes a service built from a freshly loaded `identifier`
@@ -181,39 +192,59 @@ impl ServiceCell {
         &self,
         identifier: DeviceTypeIdentifier,
     ) -> Result<u64, RegistryMismatch> {
-        let mut guard = self.lock();
-        identifier.registry().ensure_extends(guard.registry())?;
-        let vulnerabilities = guard.vulnerabilities().clone();
-        Ok(self.publish(
-            &mut guard,
-            IoTSecurityService::new(identifier, vulnerabilities),
-        ))
+        let _writer = lock(&self.writer);
+        let current = self.load();
+        identifier.registry().ensure_extends(current.registry())?;
+        let vulnerabilities = current.vulnerabilities().clone();
+        Ok(self.publish(IoTSecurityService::new(identifier, vulnerabilities)))
+    }
+
+    /// Runs `edit` on a clone of the current service and publishes the
+    /// result as the next epoch, returning what `edit` returned. One
+    /// call is one epoch, so edits that must land together go in one
+    /// call.
+    ///
+    /// # Errors
+    ///
+    /// The edit's own error, or a [`RegistryMismatch`] when the edited
+    /// registry no longer extends the current one. Either way nothing
+    /// is published.
+    pub fn update<T, E: From<RegistryMismatch>>(
+        &self,
+        edit: impl FnOnce(&mut IoTSecurityService) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let _writer = lock(&self.writer);
+        let current = self.load();
+        let mut next = current.service().clone();
+        let out = edit(&mut next)?;
+        next.registry().ensure_extends(current.registry())?;
+        self.publish(next);
+        Ok(out)
     }
 
     /// The registry of the currently published epoch, cloned (for
     /// validation and reporting outside the lock).
     pub fn registry(&self) -> TypeRegistry {
-        self.lock().registry().clone()
+        lock(&self.current).registry().clone()
     }
 
-    fn publish(
-        &self,
-        guard: &mut MutexGuard<'_, Arc<IoTSecurityService>>,
-        service: IoTSecurityService,
-    ) -> u64 {
-        **guard = Arc::new(service);
+    /// Swaps `service` in; the caller holds the writer lock.
+    fn publish(&self, service: IoTSecurityService) -> u64 {
+        let mut current = lock(&self.current);
+        *current = Arc::new(service);
         let next = self.epoch.load(Ordering::Relaxed) + 1;
         self.epoch.store(next, Ordering::Release);
         self.reloads.fetch_add(1, Ordering::Release);
         next
     }
+}
 
-    fn lock(&self) -> MutexGuard<'_, Arc<IoTSecurityService>> {
-        // The critical sections only clone/replace an Arc — none can
-        // panic — but recover from poisoning anyway rather than
-        // cascading a writer panic into every reader.
-        self.current.lock().unwrap_or_else(|e| e.into_inner())
-    }
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    // The reader critical sections only clone/replace an Arc, and an
+    // edit that panics under the writer lock has touched only its own
+    // clone — so recover from poisoning rather than cascading a panic
+    // into every reader and later writer.
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -296,12 +327,10 @@ mod tests {
         assert!(!cell.refresh(&mut pinned));
     }
 
-    #[test]
-    fn replace_rejects_registry_regressions() {
-        let cell = ServiceCell::new(service());
-        // A service trained on disjoint labels maps existing ids to
-        // different names — swapping it in would corrupt every issued
-        // TypeId.
+    /// A service trained on disjoint labels: it maps existing ids to
+    /// different names, so swapping it in would corrupt every issued
+    /// TypeId.
+    fn foreign() -> IoTSecurityService {
         let mut foreign_ds = Dataset::new();
         for i in 0..12u32 {
             foreign_ds.push(LabeledFingerprint::new(
@@ -314,8 +343,13 @@ mod tests {
             ));
         }
         let foreign = Trainer::default().train(&foreign_ds, 4).unwrap();
-        let foreign = IoTSecurityService::new(foreign, VulnerabilityDatabase::new());
-        assert!(cell.replace(foreign).is_err());
+        IoTSecurityService::new(foreign, VulnerabilityDatabase::new())
+    }
+
+    #[test]
+    fn replace_rejects_registry_regressions() {
+        let cell = ServiceCell::new(service());
+        assert!(cell.replace(foreign()).is_err());
         assert_eq!(
             cell.epoch(),
             1,
@@ -398,6 +432,62 @@ mod tests {
         });
         assert_eq!(cell.epoch(), 9);
         assert_eq!(cell.reloads(), 8);
+    }
+
+    #[test]
+    fn updates_and_reloads_serialize_without_losing_an_edit() {
+        let cell = ServiceCell::new(service());
+        let clean = cell.registry().get("CleanType").unwrap();
+        // Both writers start together, so their 40 publishes overlap.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for i in 0..20 {
+                    cell.update(|service| {
+                        service.vulnerabilities_mut().add_record(
+                            clean,
+                            VulnerabilityRecord::new(format!("CVE-U-{i}"), "edit", Severity::High),
+                        );
+                        Ok::<_, RegistryMismatch>(())
+                    })
+                    .unwrap();
+                }
+            });
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..20 {
+                    let identifier = cell.load().identifier().clone();
+                    cell.replace_identifier(identifier).unwrap();
+                }
+            });
+        });
+        assert_eq!(cell.epoch(), 41);
+        assert_eq!(cell.reloads(), 40);
+        let records = cell.load().vulnerabilities().records_for(clean).len();
+        assert_eq!(records, 20, "a reload published over an update");
+    }
+
+    #[test]
+    fn failed_update_publishes_nothing() {
+        let cell = ServiceCell::new(service());
+        // The edit interns a name, then fails.
+        let result = cell.update(|service| {
+            let (identifier, vulnerabilities) = service.parts_mut();
+            let record = VulnerabilityRecord::new("CVE-F-1", "demo", Severity::High);
+            vulnerabilities.add_record_named(identifier.registry_mut(), "Half", record);
+            identifier.add_device_type("Empty", &[], 1)
+        });
+        assert!(matches!(result, Err(crate::CoreError::BadDataset(_))));
+        assert!(cell.registry().get("Half").is_none());
+        // The edit succeeds, but its registry no longer extends.
+        let result = cell.update(|service| {
+            *service = foreign();
+            Ok::<_, RegistryMismatch>(())
+        });
+        assert!(result.is_err());
+        assert_eq!(cell.epoch(), 1);
+        assert_eq!(cell.reloads(), 0);
     }
 
     #[test]

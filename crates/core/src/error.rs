@@ -6,6 +6,8 @@ use std::fmt;
 use sentinel_fingerprint::FingerprintError;
 use sentinel_ml::MlError;
 
+use crate::registry::RegistryMismatch;
+
 /// Errors from the IoT Sentinel core pipeline.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -27,6 +29,8 @@ pub enum CoreError {
     },
     /// Underlying I/O failure while reading or writing a model.
     Io(std::io::Error),
+    /// An edit would have invalidated already-issued type ids.
+    Registry(RegistryMismatch),
 }
 
 impl fmt::Display for CoreError {
@@ -40,6 +44,7 @@ impl fmt::Display for CoreError {
                 write!(f, "model parse error at line {line}: {message}")
             }
             CoreError::Io(e) => write!(f, "model i/o error: {e}"),
+            CoreError::Registry(e) => write!(f, "registry mismatch: {e}"),
         }
     }
 }
@@ -50,6 +55,7 @@ impl Error for CoreError {
             CoreError::Ml(e) => Some(e),
             CoreError::Fingerprint(e) => Some(e),
             CoreError::Io(e) => Some(e),
+            CoreError::Registry(e) => Some(e),
             _ => None,
         }
     }
@@ -64,6 +70,12 @@ impl From<std::io::Error> for CoreError {
 impl From<MlError> for CoreError {
     fn from(e: MlError) -> Self {
         CoreError::Ml(e)
+    }
+}
+
+impl From<RegistryMismatch> for CoreError {
+    fn from(e: RegistryMismatch) -> Self {
+        CoreError::Registry(e)
     }
 }
 

@@ -10,8 +10,7 @@ use std::collections::HashMap;
 use std::net::IpAddr;
 
 use sentinel_core::incidents::{GatewayId, IncidentKind, IncidentReport};
-use sentinel_core::{Endpoint, IoTSecurityService, IsolationLevel, ServiceResponse, TypeRegistry};
-use sentinel_fingerprint::Fingerprint;
+use sentinel_core::{Endpoint, IsolationLevel, TypeId};
 use sentinel_net::{MacAddr, SimTime};
 
 use crate::cache::RuleCache;
@@ -26,10 +25,10 @@ use crate::rule::{EnforcementRule, FilterAction, FlowFilter};
 pub type EndpointResolver<'a> = &'a dyn Fn(&str) -> Option<IpAddr>;
 
 /// The gateway's control plane: device registry, overlay map and rule
-/// cache, fed by the IoT Security Service's identifications.
-#[derive(Debug)]
+/// cache, fed by the IoT Security Service's identifications. It owns
+/// no service: its caller queries one and installs the answer.
+#[derive(Debug, Default)]
 pub struct SdnController {
-    service: IoTSecurityService,
     cache: RuleCache,
     overlays: OverlayMap,
     devices: HashMap<MacAddr, DeviceRecord>,
@@ -39,17 +38,9 @@ pub struct SdnController {
 }
 
 impl SdnController {
-    /// Creates a controller backed by `service`.
-    pub fn new(service: IoTSecurityService) -> Self {
-        SdnController {
-            service,
-            cache: RuleCache::new(),
-            overlays: OverlayMap::new(),
-            devices: HashMap::new(),
-            packet_ins: 0,
-            gateway_id: None,
-            pending_incidents: Vec::new(),
-        }
+    /// Creates a controller with no devices and no rules.
+    pub fn new() -> Self {
+        SdnController::default()
     }
 
     /// Enables §III-B incident reporting under the pseudonymous `id`:
@@ -65,23 +56,6 @@ impl SdnController {
     /// Takes the incident reports accumulated since the last drain.
     pub fn drain_incidents(&mut self) -> Vec<IncidentReport> {
         std::mem::take(&mut self.pending_incidents)
-    }
-
-    /// The IoT Security Service in use.
-    pub fn service(&self) -> &IoTSecurityService {
-        &self.service
-    }
-
-    /// Mutable access to the IoT Security Service (incremental type
-    /// additions, new advisories).
-    pub fn service_mut(&mut self) -> &mut IoTSecurityService {
-        &mut self.service
-    }
-
-    /// The device-type interner of the backing service (resolves the
-    /// `TypeId`s stored in device records and responses to names).
-    pub fn registry(&self) -> &TypeRegistry {
-        self.service.registry()
     }
 
     /// The enforcement rule cache.
@@ -132,10 +106,10 @@ impl SdnController {
         Ok(())
     }
 
-    /// Completes a device's setup: sends the fingerprint to the IoT
-    /// Security Service, adopts the returned isolation level, pins any
-    /// restricted endpoints via `resolver` and installs the final
-    /// enforcement rule.
+    /// Completes a device's setup with the IoT Security Service's
+    /// answer for it: adopts the identified type and isolation level,
+    /// pins any restricted endpoints via `resolver` and installs the
+    /// final enforcement rule.
     ///
     /// # Errors
     ///
@@ -144,19 +118,15 @@ impl SdnController {
     pub fn on_setup_complete(
         &mut self,
         mac: MacAddr,
-        fingerprint: &Fingerprint,
+        device_type: Option<TypeId>,
+        level: IsolationLevel,
         resolver: EndpointResolver<'_>,
-    ) -> Result<ServiceResponse, GatewayError> {
+    ) -> Result<(), GatewayError> {
         let record = self
             .devices
             .get_mut(&mac)
             .ok_or(GatewayError::UnknownDevice(mac))?;
-        let response = self.service.handle(fingerprint);
-        // The response itself is a Copy value (TypeId + isolation
-        // class); the owned allow-list is materialised only here, where
-        // the enforcement rule is actually installed.
-        let level = response.isolation_level(self.service.vulnerabilities());
-        record.apply_identification(response.device_type, level.clone());
+        record.apply_identification(device_type, level.clone());
         self.overlays.assign(mac, record.overlay);
         let pins: Vec<IpAddr> = match &level {
             IsolationLevel::Restricted { allowed_endpoints } => allowed_endpoints
@@ -170,7 +140,7 @@ impl SdnController {
         };
         self.cache
             .install(EnforcementRule::new(mac, level).with_permitted_ips(pins));
-        Ok(response)
+        Ok(())
     }
 
     /// Removes a disconnected device: rule, overlay entry and record.
@@ -275,8 +245,8 @@ impl SdnController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sentinel_core::{Trainer, VulnerabilityDatabase};
-    use sentinel_fingerprint::{Dataset, LabeledFingerprint, PacketFeatures};
+    use sentinel_core::{IoTSecurityService, ServiceResponse, Trainer, VulnerabilityDatabase};
+    use sentinel_fingerprint::{Dataset, Fingerprint, LabeledFingerprint, PacketFeatures};
     use sentinel_net::Port;
     use std::net::Ipv4Addr;
 
@@ -295,7 +265,7 @@ mod tests {
         )
     }
 
-    fn controller() -> SdnController {
+    fn controller() -> (SdnController, IoTSecurityService) {
         let mut ds = Dataset::new();
         for i in 0..12u32 {
             ds.push(LabeledFingerprint::new(
@@ -319,7 +289,25 @@ mod tests {
             sentinel_core::VulnerabilityRecord::new("CVE-X", "demo", sentinel_core::Severity::High),
         );
         db.add_vendor_endpoint(vuln, Endpoint::Host("cloud.vuln.example".into()));
-        SdnController::new(IoTSecurityService::new(identifier, db))
+        (
+            SdnController::new(),
+            IoTSecurityService::new(identifier, db),
+        )
+    }
+
+    /// What a gateway does at setup completion: query the service,
+    /// then install its answer.
+    fn setup(
+        ctl: &mut SdnController,
+        service: &IoTSecurityService,
+        mac: MacAddr,
+        fingerprint: &Fingerprint,
+        resolver: EndpointResolver<'_>,
+    ) -> Result<ServiceResponse, GatewayError> {
+        let response = service.handle(fingerprint);
+        let level = response.isolation_level(service.vulnerabilities());
+        ctl.on_setup_complete(mac, response.device_type, level, resolver)?;
+        Ok(response)
     }
 
     fn mac(last: u8) -> MacAddr {
@@ -340,7 +328,7 @@ mod tests {
 
     #[test]
     fn lifecycle_clean_device() {
-        let mut ctl = controller();
+        let (mut ctl, service) = controller();
         let dev = mac(1);
         ctl.on_device_appeared(dev, SimTime::ZERO).unwrap();
         assert!(ctl.on_device_appeared(dev, SimTime::ZERO).is_err());
@@ -352,10 +340,15 @@ mod tests {
         );
         assert_eq!(d, FlowDecision::Deny(DenyReason::InternetBlocked));
         // Identify as clean → trusted → Internet allowed.
-        let resp = ctl
-            .on_setup_complete(dev, &fp_bits(0b001, &[104, 110, 120]), &|_| None)
-            .unwrap();
-        assert_eq!(resp.device_type_name(ctl.registry()), Some("CleanType"));
+        let resp = setup(
+            &mut ctl,
+            &service,
+            dev,
+            &fp_bits(0b001, &[104, 110, 120]),
+            &|_| None,
+        )
+        .unwrap();
+        assert_eq!(resp.device_type_name(service.registry()), Some("CleanType"));
         let d = ctl.decide_flow(
             &flow_key(dev, mac(0), Ipv4Addr::new(8, 8, 8, 8)),
             false,
@@ -367,15 +360,20 @@ mod tests {
 
     #[test]
     fn vulnerable_device_restricted_to_pinned_cloud() {
-        let mut ctl = controller();
+        let (mut ctl, service) = controller();
         let dev = mac(2);
         let cloud = Ipv4Addr::new(52, 10, 20, 30);
         ctl.on_device_appeared(dev, SimTime::ZERO).unwrap();
         let resolver =
             move |host: &str| (host == "cloud.vuln.example").then_some(IpAddr::V4(cloud));
-        let resp = ctl
-            .on_setup_complete(dev, &fp_bits(0b010, &[105, 110, 120]), &resolver)
-            .unwrap();
+        let resp = setup(
+            &mut ctl,
+            &service,
+            dev,
+            &fp_bits(0b010, &[105, 110, 120]),
+            &resolver,
+        )
+        .unwrap();
         assert_eq!(resp.isolation, sentinel_core::IsolationClass::Restricted);
         // Cloud reachable, everything else blocked.
         assert_eq!(
@@ -394,15 +392,27 @@ mod tests {
 
     #[test]
     fn overlay_isolation_between_devices() {
-        let mut ctl = controller();
+        let (mut ctl, service) = controller();
         let clean = mac(1);
         let vuln = mac(2);
         ctl.on_device_appeared(clean, SimTime::ZERO).unwrap();
         ctl.on_device_appeared(vuln, SimTime::ZERO).unwrap();
-        ctl.on_setup_complete(clean, &fp_bits(0b001, &[104, 110, 120]), &|_| None)
-            .unwrap();
-        ctl.on_setup_complete(vuln, &fp_bits(0b010, &[105, 110, 120]), &|_| None)
-            .unwrap();
+        setup(
+            &mut ctl,
+            &service,
+            clean,
+            &fp_bits(0b001, &[104, 110, 120]),
+            &|_| None,
+        )
+        .unwrap();
+        setup(
+            &mut ctl,
+            &service,
+            vuln,
+            &fp_bits(0b010, &[105, 110, 120]),
+            &|_| None,
+        )
+        .unwrap();
         // Trusted -> untrusted peer traffic blocked.
         let d = ctl.decide_flow(
             &flow_key(clean, vuln, Ipv4Addr::new(192, 168, 1, 51)),
@@ -413,8 +423,14 @@ mod tests {
         // Two untrusted devices may communicate.
         let vuln2 = mac(3);
         ctl.on_device_appeared(vuln2, SimTime::ZERO).unwrap();
-        ctl.on_setup_complete(vuln2, &fp_bits(0b010, &[106, 110, 120]), &|_| None)
-            .unwrap();
+        setup(
+            &mut ctl,
+            &service,
+            vuln2,
+            &fp_bits(0b010, &[106, 110, 120]),
+            &|_| None,
+        )
+        .unwrap();
         let d = ctl.decide_flow(
             &flow_key(vuln, vuln2, Ipv4Addr::new(192, 168, 1, 52)),
             true,
@@ -425,12 +441,17 @@ mod tests {
 
     #[test]
     fn unknown_device_gets_strict_rule() {
-        let mut ctl = controller();
+        let (mut ctl, service) = controller();
         let dev = mac(4);
         ctl.on_device_appeared(dev, SimTime::ZERO).unwrap();
-        let resp = ctl
-            .on_setup_complete(dev, &fp_bits(0b1000, &[104, 110, 120]), &|_| None)
-            .unwrap();
+        let resp = setup(
+            &mut ctl,
+            &service,
+            dev,
+            &fp_bits(0b1000, &[104, 110, 120]),
+            &|_| None,
+        )
+        .unwrap();
         assert_eq!(resp.device_type, None);
         assert_eq!(resp.isolation, sentinel_core::IsolationClass::Strict);
         assert_eq!(
@@ -445,7 +466,7 @@ mod tests {
 
     #[test]
     fn device_departure_cleans_up() {
-        let mut ctl = controller();
+        let mut ctl = SdnController::new();
         let dev = mac(5);
         ctl.on_device_appeared(dev, SimTime::ZERO).unwrap();
         assert_eq!(ctl.rule_cache().len(), 1);
@@ -467,7 +488,7 @@ mod tests {
 
     #[test]
     fn denied_flows_become_incident_reports() {
-        let mut ctl = controller();
+        let (mut ctl, service) = controller();
         ctl.enable_incident_reporting(GatewayId(0xfeed));
         let vuln = mac(6);
         ctl.on_device_appeared(vuln, SimTime::ZERO).unwrap();
@@ -481,8 +502,14 @@ mod tests {
 
         // Identified restricted device probing a forbidden Internet
         // destination -> exfiltration-attempt report.
-        ctl.on_setup_complete(vuln, &fp_bits(0b010, &[104, 110, 120]), &|_| None)
-            .unwrap();
+        setup(
+            &mut ctl,
+            &service,
+            vuln,
+            &fp_bits(0b010, &[104, 110, 120]),
+            &|_| None,
+        )
+        .unwrap();
         let at = SimTime::from_secs(30);
         ctl.decide_flow(
             &flow_key(vuln, mac(0), Ipv4Addr::new(8, 8, 8, 8)),
@@ -492,7 +519,7 @@ mod tests {
         let reports = ctl.drain_incidents();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].gateway, GatewayId(0xfeed));
-        assert_eq!(ctl.registry().name(reports[0].device_type), "VulnType");
+        assert_eq!(service.registry().name(reports[0].device_type), "VulnType");
         assert_eq!(reports[0].kind, IncidentKind::ExfiltrationAttempt);
         assert_eq!(reports[0].observed_at, at);
         // Draining empties the queue.
@@ -501,8 +528,14 @@ mod tests {
         // Cross-overlay probe of a trusted device -> policy violation.
         let clean = mac(7);
         ctl.on_device_appeared(clean, SimTime::ZERO).unwrap();
-        ctl.on_setup_complete(clean, &fp_bits(0b001, &[104, 110, 120]), &|_| None)
-            .unwrap();
+        setup(
+            &mut ctl,
+            &service,
+            clean,
+            &fp_bits(0b001, &[104, 110, 120]),
+            &|_| None,
+        )
+        .unwrap();
         ctl.decide_flow(
             &flow_key(vuln, clean, Ipv4Addr::new(192, 168, 1, 51)),
             true,
@@ -515,11 +548,17 @@ mod tests {
 
     #[test]
     fn reporting_disabled_records_nothing() {
-        let mut ctl = controller();
+        let (mut ctl, service) = controller();
         let dev = mac(8);
         ctl.on_device_appeared(dev, SimTime::ZERO).unwrap();
-        ctl.on_setup_complete(dev, &fp_bits(0b010, &[104, 110, 120]), &|_| None)
-            .unwrap();
+        setup(
+            &mut ctl,
+            &service,
+            dev,
+            &fp_bits(0b010, &[104, 110, 120]),
+            &|_| None,
+        )
+        .unwrap();
         ctl.decide_flow(
             &flow_key(dev, mac(0), Ipv4Addr::new(8, 8, 8, 8)),
             false,
@@ -530,12 +569,18 @@ mod tests {
 
     #[test]
     fn flow_filters_refine_the_coarse_level() {
-        let mut ctl = controller();
+        let (mut ctl, service) = controller();
         let dev = mac(9);
         ctl.on_device_appeared(dev, SimTime::ZERO).unwrap();
         // Identified as trusted: everything is allowed by the level.
-        ctl.on_setup_complete(dev, &fp_bits(0b001, &[104, 110, 120]), &|_| None)
-            .unwrap();
+        setup(
+            &mut ctl,
+            &service,
+            dev,
+            &fp_bits(0b001, &[104, 110, 120]),
+            &|_| None,
+        )
+        .unwrap();
         let telnet = FlowKey {
             dst_port: Port::new(23),
             ..flow_key(dev, mac(0), Ipv4Addr::new(8, 8, 8, 8))
@@ -568,12 +613,18 @@ mod tests {
 
     #[test]
     fn flow_filter_allow_overrides_restricted_level() {
-        let mut ctl = controller();
+        let (mut ctl, service) = controller();
         let dev = mac(10);
         ctl.on_device_appeared(dev, SimTime::ZERO).unwrap();
         // Restricted device: arbitrary Internet destinations blocked.
-        ctl.on_setup_complete(dev, &fp_bits(0b010, &[104, 110, 120]), &|_| None)
-            .unwrap();
+        setup(
+            &mut ctl,
+            &service,
+            dev,
+            &fp_bits(0b010, &[104, 110, 120]),
+            &|_| None,
+        )
+        .unwrap();
         let ntp = FlowKey {
             protocol: 17,
             dst_port: Port::new(123),

@@ -14,8 +14,9 @@
 //! * [`overlay`] — the trusted/untrusted virtual network overlays
 //!   (§III-C-1).
 //! * [`switch`] / [`controller`] — the OVS-like forwarding element and
-//!   the Floodlight-like controller that queries the IoT Security
-//!   Service and installs rules.
+//!   the Floodlight-like controller that installs the rule for the
+//!   answer its caller got from the IoT Security Service. The gateway
+//!   enforces; it holds no copy of the service.
 //! * [`wps`] — device-specific WPA2-PSK provisioning and the §VIII-A
 //!   legacy re-keying flow.
 //! * [`latency`] / [`resources`] — calibrated models of the R-Pi

@@ -122,7 +122,7 @@ mod tests {
         )
     }
 
-    fn controller() -> SdnController {
+    fn service() -> IoTSecurityService {
         let mut ds = Dataset::new();
         for i in 0..12u32 {
             ds.push(LabeledFingerprint::new(
@@ -135,10 +135,7 @@ mod tests {
             ));
         }
         let identifier = Trainer::default().train(&ds, 4).unwrap();
-        SdnController::new(IoTSecurityService::new(
-            identifier,
-            VulnerabilityDatabase::new(),
-        ))
+        IoTSecurityService::new(identifier, VulnerabilityDatabase::new())
     }
 
     fn mac(last: u8) -> MacAddr {
@@ -159,10 +156,13 @@ mod tests {
 
     #[test]
     fn first_packet_misses_rest_hit() {
-        let mut ctl = controller();
+        let mut ctl = SdnController::new();
+        let service = service();
         let dev = mac(1);
         ctl.on_device_appeared(dev, SimTime::ZERO).unwrap();
-        ctl.on_setup_complete(dev, &fp_bits(0b001, &[104, 110, 120]), &|_| None)
+        let response = service.handle(&fp_bits(0b001, &[104, 110, 120]));
+        let level = response.isolation_level(service.vulnerabilities());
+        ctl.on_setup_complete(dev, response.device_type, level, &|_| None)
             .unwrap();
         let mut sw = OvsSwitch::new();
         for _ in 0..10 {
@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn filtering_disabled_allows_everything() {
-        let mut ctl = controller();
+        let mut ctl = SdnController::new();
         let mut sw = OvsSwitch::new();
         sw.set_filtering(false);
         assert!(!sw.filtering());
@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn denied_flows_count_drops() {
-        let mut ctl = controller();
+        let mut ctl = SdnController::new();
         let mut sw = OvsSwitch::new();
         // Device appeared but not identified: strict rule blocks
         // Internet.

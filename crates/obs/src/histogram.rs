@@ -165,8 +165,11 @@ impl LogHistogram {
 /// monotone under concurrent recording (each is a single atomic), so
 /// repeated snapshots never observe a count going backwards; the
 /// `sum`/`min`/`max` companions are updated by separate relaxed
-/// operations and may trail the bucket counts by in-flight samples —
-/// exact at quiescence, advisory mid-flight.
+/// operations and may trail or lead the bucket counts by in-flight
+/// samples — exact at quiescence, advisory mid-flight. A summary of a
+/// fold with no bucket counts is all zeros
+/// ([`crate::HistogramSummary::from_histogram`]), whatever the
+/// companions read.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     counts: Box<[AtomicU64]>,
@@ -361,5 +364,22 @@ mod tests {
         assert_eq!(out.count(), 0);
         assert_eq!(out.min(), 0);
         assert_eq!(out.max(), 0);
+    }
+
+    #[test]
+    fn torn_empty_fold_summarises_as_all_zeros() {
+        // A snapshot that reads the buckets before a concurrent
+        // `record` lands and `sum`/`max` after it.
+        let atomic = AtomicHistogram::new();
+        atomic.sum.fetch_add(500, Relaxed);
+        atomic.min.fetch_min(500, Relaxed);
+        atomic.max.fetch_max(500, Relaxed);
+        let mut folded = LogHistogram::new();
+        atomic.merge_into(&mut folded);
+        assert_eq!(folded.count(), 0);
+        assert_eq!(
+            crate::HistogramSummary::from_histogram(&folded),
+            crate::HistogramSummary::default()
+        );
     }
 }

@@ -399,6 +399,11 @@ pub struct HistogramSummary {
 impl HistogramSummary {
     /// Digests `h` into the fixed-width summary.
     pub fn from_histogram(h: &LogHistogram) -> Self {
+        // A snapshot folded from an `AtomicHistogram` can carry the
+        // `sum`/`max` of a sample whose bucket bump it missed.
+        if h.count() == 0 {
+            return HistogramSummary::default();
+        }
         HistogramSummary {
             count: h.count(),
             sum_ns: u64::try_from(h.sum()).unwrap_or(u64::MAX),

@@ -258,6 +258,10 @@ impl ComputePool {
     /// Creates a pool with `threads` pinned workers (clamped to at
     /// least 1). Workers are created once, here, and live until the
     /// pool is dropped; no call on the pool ever spawns again.
+    ///
+    /// Returns only once every worker is running: a starting thread
+    /// allocates, and that must not land in a caller's later
+    /// allocation-free window.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
@@ -269,16 +273,22 @@ impl ComputePool {
             wake: Condvar::new(),
             counters: CounterCells::default(),
         });
+        let started = Arc::new(std::sync::Barrier::new(threads + 1));
         let handles = (0..threads)
             .map(|index| {
                 let shared = Arc::clone(&shared);
+                let started = Arc::clone(&started);
                 note_thread_spawn();
                 std::thread::Builder::new()
                     .name(format!("sentinel-pool-{index}"))
-                    .spawn(move || worker_loop(shared))
+                    .spawn(move || {
+                        started.wait();
+                        worker_loop(shared)
+                    })
                     .expect("spawning pool worker")
             })
             .collect();
+        started.wait();
         Self { shared, handles }
     }
 

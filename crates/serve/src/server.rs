@@ -24,12 +24,11 @@
 //! current epoch **once per frame** — never mid-batch, so a batch
 //! response is always computed against exactly one model — and
 //! re-pin at the next frame boundary with a wait-free epoch check.
-//! Writers (a [`Sentinel::reload`] in the owning process, or an admin
-//! client sending a `Reload` frame when [`ServerConfig::admin`] is
-//! set) publish a fully-built replacement service atomically; no
-//! connection is dropped, no in-flight query torn.
-//!
-//! [`Sentinel::reload`]: ../../iot_sentinel/struct.Sentinel.html#method.reload
+//! Writers (a knowledge edit or identifier swap through the cell in the
+//! owning process, or an admin client sending a `Reload` frame when
+//! [`ServerConfig::admin`] is set) publish a fully-built replacement
+//! service atomically; no connection is dropped, no in-flight query
+//! torn.
 //!
 //! # Robustness guards, per connection
 //!

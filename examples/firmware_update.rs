@@ -62,7 +62,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         for cap in capture_setups(profile, &env, runs, 0x77) {
             let fp = FingerprintExtractor::extract_from(cap.packets());
-            if let Some(t) = sentinel.type_name(sentinel.handle(&fp).device_type) {
+            if let Some(t) = sentinel
+                .service()
+                .type_name(sentinel.handle(&fp).device_type)
+            {
                 if generation.contains(&t) {
                     *hits += 1;
                 }

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let response = sentinel.complete_setup(cam, &fingerprint, &|_| Some(cloud))?;
     println!(
         "camera identified as {:?} -> isolation {}",
-        sentinel.type_name(response.device_type),
+        sentinel.service().type_name(response.device_type),
         response.isolation
     );
 
@@ -118,7 +118,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  {} attributed to {} ({})",
             report.kind,
-            sentinel.resolve(report.device_type),
+            sentinel.service().registry().name(report.device_type),
             report.gateway
         );
     }

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example incident_correlation`
 
 use iot_sentinel::core::incidents::{CorrelatorConfig, GatewayId, IncidentCorrelator};
-use iot_sentinel::core::{IncidentKind, IncidentReport};
+use iot_sentinel::core::{IncidentKind, IncidentReport, RegistryMismatch};
 use iot_sentinel::devices::{capture_setups, catalog, generate_dataset, NetworkEnvironment};
 use iot_sentinel::fingerprint::FingerprintExtractor;
 use iot_sentinel::net::{SimDuration, SimTime};
@@ -21,11 +21,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // NO entry for the Ednet camera yet.
     println!("training identification models (subset of 8 types)...");
     let subset: Vec<_> = profiles.iter().take(8).cloned().collect();
-    let mut sentinel = SentinelBuilder::new()
+    let sentinel = SentinelBuilder::new()
         .dataset(generate_dataset(&subset, &env, 10, 21))
         .training_seed(21)
         .build()?;
     let cam_id = sentinel
+        .service()
         .registry()
         .get("EdnetCam")
         .expect("EdnetCam is in the training subset");
@@ -40,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let before = sentinel.handle(&fp(0x10));
     println!(
         "day 0: EdnetCam identified as {:?}, isolation {}",
-        sentinel.type_name(before.device_type),
+        sentinel.service().type_name(before.device_type),
         before.isolation
     );
 
@@ -65,12 +66,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         correlator.submit(report);
     }
 
-    // The correlation job runs; the type crosses the threshold.
+    // The correlation job runs; the type crosses the threshold, and its
+    // verdict is published to every query path as one epoch.
     let now = SimTime::from_secs(30 * 3600);
-    let flagged = {
-        let (identifier, vulnerabilities) = sentinel.controller_mut().service_mut().parts_mut();
-        correlator.apply_to(vulnerabilities, identifier.registry(), now)
-    };
+    let flagged = sentinel.service_cell().update(|service| {
+        let (identifier, vulnerabilities) = service.parts_mut();
+        Ok::<_, RegistryMismatch>(correlator.apply_to(vulnerabilities, identifier.registry(), now))
+    })?;
     println!("\ncorrelation at t+30h: {flagged} device type(s) flagged");
     for record in sentinel.service().vulnerabilities().records_for(cam_id) {
         println!(
@@ -84,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let after = sentinel.handle(&fp(0x20));
     println!(
         "\nday 3: EdnetCam identified as {:?}, isolation {}",
-        sentinel.type_name(after.device_type),
+        sentinel.service().type_name(after.device_type),
         after.isolation
     );
     assert!(!after.isolation.in_trusted_overlay());

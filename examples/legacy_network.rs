@@ -61,6 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  {mac}  {:>16} -> identified {:>16}  isolation {}",
             type_name,
             sentinel
+                .service()
                 .type_name(response.device_type)
                 .unwrap_or("<unknown>"),
             response.isolation

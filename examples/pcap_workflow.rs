@@ -56,6 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "identified from pcap as: {}",
         sentinel
+            .service()
             .type_name(response.device_type)
             .unwrap_or("<unknown>")
     );

@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     println!(
         "identifier knows {} device types",
-        sentinel.identifier().type_count()
+        sentinel.service().identifier().type_count()
     );
 
     // A new HueBridge is set up (a capture run the trainer never saw).
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One query: interned TypeId + isolation class out, no per-query
     // string allocation; the name is borrowed from the registry.
     let response = sentinel.handle(&fingerprint);
-    match sentinel.type_name(response.device_type) {
+    match sentinel.service().type_name(response.device_type) {
         Some(name) => println!("identified as: {name} (isolation {})", response.isolation),
         None => println!("unknown device type (isolation {})", response.isolation),
     }
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         responses.len(),
         responses
             .iter()
-            .filter(|r| sentinel.type_name(r.device_type) == Some("HueBridge"))
+            .filter(|r| sentinel.service().type_name(r.device_type) == Some("HueBridge"))
             .count()
     );
     Ok(())

@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- the IoT Security Service side -----------------------------
     let profiles: Vec<_> = catalog::standard_catalog().into_iter().take(6).collect();
     println!("training on {} device types...", profiles.len());
-    let mut sentinel = SentinelBuilder::new()
+    let sentinel = SentinelBuilder::new()
         .catalog(profiles.clone())
         .setups_per_type(10)
         .demo_vulnerabilities()

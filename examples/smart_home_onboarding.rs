@@ -54,6 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 capture.mac(),
                 capture.packets().len(),
                 sentinel
+                    .service()
                     .type_name(response.device_type)
                     .unwrap_or("<unknown>"),
                 response.isolation
@@ -76,6 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{}  {:16}  overlay {}",
             record.mac,
             sentinel
+                .service()
                 .registry()
                 .resolve(record.device_type)
                 .unwrap_or("<unknown>"),

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         accept_threshold: 0.5,
         ..IdentifierConfig::default()
     };
-    let mut sentinel = SentinelBuilder::new()
+    let sentinel = SentinelBuilder::new()
         .dataset(generate_dataset(&known, &env, 10, 5))
         .identifier_config(config)
         .training_seed(17)
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "{unknown}/{} setups of the unseen device were rejected by all {} classifiers",
         fingerprints.len(),
-        sentinel.identifier().type_count()
+        sentinel.service().identifier().type_count()
     );
     println!("-> the device is assigned isolation level STRICT (no Internet)");
     assert_eq!(
@@ -73,8 +73,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let new_id = sentinel.add_device_type("HomeMaticPlug", &fingerprints, 23)?;
     println!(
         "identifier now knows {} types ({} interned as {new_id})",
-        sentinel.identifier().type_count(),
-        sentinel.resolve(new_id),
+        sentinel.service().identifier().type_count(),
+        sentinel.service().registry().name(new_id),
     );
 
     // A fresh setup of the same device is now recognised.
@@ -84,6 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "fresh capture identified as: {}",
         sentinel
+            .service()
             .type_name(response.device_type)
             .unwrap_or("<unknown>")
     );

@@ -436,11 +436,11 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         .build()
         .map_err(|e| format!("training failed: {e}"))?;
     let file = File::create(&model_path).map_err(|e| format!("creating {model_path:?}: {e}"))?;
-    persist::write_identifier(BufWriter::new(file), sentinel.identifier())
+    persist::write_identifier(BufWriter::new(file), sentinel.service().identifier())
         .map_err(|e| format!("writing model: {e}"))?;
     println!(
         "trained {} per-type classifiers -> {}",
-        sentinel.identifier().type_count(),
+        sentinel.service().identifier().type_count(),
         model_path.display()
     );
     Ok(())
@@ -470,6 +470,7 @@ fn cmd_identify(args: &[String]) -> Result<(), String> {
         println!(
             "{mac}: {} -> isolation {}",
             sentinel
+                .service()
                 .type_name(response.device_type)
                 .unwrap_or("<unknown device type>"),
             response.isolation
@@ -510,7 +511,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let file = File::open(&model_path).map_err(|e| format!("opening {model_path:?}: {e}"))?;
     let identifier = persist::read_identifier(BufReader::new(file))
         .map_err(|e| format!("loading model: {e}"))?;
-    let mut sentinel = SentinelBuilder::new()
+    let sentinel = SentinelBuilder::new()
         .trained(identifier)
         .demo_vulnerabilities()
         .compute_threads(compute_threads)
@@ -527,7 +528,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let bound = handle.local_addr();
     println!(
         "serving {} device types on {bound} ({workers} workers, {} compute threads{})",
-        sentinel.identifier().type_count(),
+        sentinel.service().identifier().type_count(),
         handle.cell().pool().threads(),
         if admin { ", admin enabled" } else { "" }
     );
@@ -715,7 +716,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
         }
         None => {
             eprintln!("training service from the catalog...");
-            let mut sentinel = SentinelBuilder::new()
+            let sentinel = SentinelBuilder::new()
                 .catalog(catalog::standard_catalog())
                 .setups_per_type(setups)
                 .training_seed(seed)
@@ -724,7 +725,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
                 .build()
                 .map_err(|e| format!("training failed: {e}"))?;
             let mut bytes = Vec::new();
-            persist::write_identifier(&mut bytes, sentinel.identifier())
+            persist::write_identifier(&mut bytes, sentinel.service().identifier())
                 .map_err(|e| format!("persisting model: {e}"))?;
             model_bytes = Some(bytes);
             // One worker per fleet connection plus one spare: workers

@@ -18,7 +18,10 @@
 //! [`SentinelBuilder`] takes the training source (device catalogue,
 //! labelled dataset, or pre-trained identifier) plus vulnerability
 //! knowledge, and yields a [`Sentinel`] that answers queries and runs
-//! the gateway lifecycle.
+//! the gateway lifecycle. Its service lives in one epoch-swapped
+//! [`core::ServiceCell`], shared with every server it starts, so an
+//! in-process edit and a model reloaded over the wire land in the same
+//! place.
 //!
 //! ```no_run
 //! use iot_sentinel::devices::catalog;
@@ -33,12 +36,12 @@
 //!
 //! // 2. Query: fingerprints in, interned type + isolation class out.
 //! //    Responses are Copy — the hot path allocates no strings; names
-//! //    resolve by borrowing from the shared TypeRegistry.
+//! //    resolve by borrowing from the registry of a pinned epoch.
 //! # let fingerprint = iot_sentinel::fingerprint::Fingerprint::default();
 //! let response = sentinel.handle(&fingerprint);
 //! println!(
 //!     "identified {:?} -> {}",
-//!     sentinel.type_name(response.device_type),
+//!     sentinel.service().type_name(response.device_type),
 //!     response.isolation,
 //! );
 //!

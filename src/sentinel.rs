@@ -6,13 +6,18 @@
 //! [`VulnerabilityDatabase`], [`SdnController`] — and wiring them by
 //! hand takes half a page of boilerplate that is easy to get subtly
 //! wrong (the vulnerability database must be keyed through the
-//! identifier's [`TypeRegistry`], the controller must own the service,
-//! incident reporting must be switched on before flows are decided…).
+//! identifier's [`TypeRegistry`], the controller must install what the
+//! service answered, incident reporting must be switched on before
+//! flows are decided…).
 //!
 //! [`SentinelBuilder`] owns that wiring: training data in (a device
 //! catalogue, a labelled dataset, or a pre-trained identifier),
 //! vulnerability knowledge layered on top, one `build()` out. The
-//! resulting [`Sentinel`] serves
+//! service lives in exactly one place, the [`ServiceCell`] every server
+//! started from the `Sentinel` shares: in-process queries, knowledge
+//! edits and wire-admin reloads all read or publish its epochs, so an
+//! edit made here and a model loaded over the wire can never diverge.
+//! The resulting [`Sentinel`] serves
 //!
 //! * **stateless queries** — [`Sentinel::handle`] /
 //!   [`Sentinel::handle_batch`], the IoTSSP fingerprint→isolation
@@ -32,8 +37,8 @@ use std::sync::Arc;
 use sentinel_core::incidents::GatewayId;
 use sentinel_core::{
     CoreError, DeviceTypeIdentifier, Identification, IdentifierConfig, IoTSecurityService,
-    IsolationClass, RegistryMismatch, ServiceCell, ServiceResponse, Trainer, TypeId, TypeRegistry,
-    VulnerabilityDatabase, VulnerabilityRecord,
+    IsolationClass, RegistryMismatch, ServiceCell, ServiceEpoch, ServiceResponse, Trainer, TypeId,
+    TypeRegistry, VulnerabilityDatabase, VulnerabilityRecord,
 };
 use sentinel_core::{Endpoint, IncidentReport};
 use sentinel_devices::{generate_dataset, DeviceProfile, NetworkEnvironment};
@@ -329,16 +334,21 @@ impl SentinelBuilder {
         for (name, endpoint) in self.endpoints {
             vulnerabilities.add_vendor_endpoint_named(identifier.registry_mut(), &name, endpoint);
         }
-        let mut controller =
-            SdnController::new(IoTSecurityService::new(identifier, vulnerabilities));
+        let service = IoTSecurityService::new(identifier, vulnerabilities);
+        let cell = match self.compute_threads {
+            Some(threads) => {
+                ServiceCell::with_pool(service, Arc::new(sentinel_pool::ComputePool::new(threads)))
+            }
+            None => ServiceCell::new(service),
+        };
+        let mut controller = SdnController::new();
         if let Some(id) = self.gateway_id {
             controller.enable_incident_reporting(id);
         }
         Ok(Sentinel {
             controller,
             events: VecDeque::new(),
-            cell: None,
-            compute_threads: self.compute_threads,
+            cell: Arc::new(cell),
         })
     }
 }
@@ -352,56 +362,38 @@ impl SentinelBuilder {
 pub struct Sentinel {
     controller: SdnController,
     events: VecDeque<SentinelEvent>,
-    /// The epoch-swapped cell shared with every server started from
-    /// this Sentinel; created on first use ([`Sentinel::serve`] /
-    /// [`Sentinel::reload`] / [`Sentinel::service_cell`]).
-    cell: Option<Arc<ServiceCell>>,
-    /// [`SentinelBuilder::compute_threads`]: private pool size for the
-    /// cell, `None` for the process-wide shared pool.
-    compute_threads: Option<usize>,
+    /// The only copy of the service, shared with every server started
+    /// from this Sentinel.
+    cell: Arc<ServiceCell>,
 }
 
 impl Sentinel {
     // ----- stateless IoTSSP queries ---------------------------------
 
-    /// Answers one fingerprint query: identified type + isolation
-    /// class. Stateless; stage one runs against the compiled
-    /// flat-arena classifier bank through a per-thread scratch, so a
-    /// warm single-candidate (or unknown-device) query performs zero
-    /// heap allocations end to end.
+    /// Answers one fingerprint query from the current epoch:
+    /// identified type + isolation class. Stateless; stage one runs
+    /// against the compiled flat-arena classifier bank through a
+    /// per-thread scratch, so a warm single-candidate (or
+    /// unknown-device) query performs zero heap allocations end to
+    /// end.
     pub fn handle(&self, fingerprint: &Fingerprint) -> ServiceResponse {
-        self.controller.service().handle(fingerprint)
+        self.cell.load().handle(fingerprint)
     }
 
-    /// Answers a batch of fingerprint queries, one response per
-    /// fingerprint in order — semantically `N ×` [`Sentinel::handle`];
-    /// batches larger than one chunk fan out on the global compute
-    /// pool.
+    /// Answers a batch of fingerprint queries from one epoch, one
+    /// response per fingerprint in order — semantically `N ×`
+    /// [`Sentinel::handle`]; batches larger than one chunk fan out on
+    /// the cell's compute pool.
     pub fn handle_batch(&self, fingerprints: &[Fingerprint]) -> Vec<ServiceResponse> {
-        self.controller.service().handle_batch(fingerprints)
+        self.cell
+            .load()
+            .handle_batch_on(self.cell.pool(), fingerprints)
     }
 
     /// Answers one query and also returns the raw identification
     /// (accepted-candidate count and discrimination scores).
     pub fn handle_detailed(&self, fingerprint: &Fingerprint) -> (ServiceResponse, Identification) {
-        self.controller.service().handle_detailed(fingerprint)
-    }
-
-    // ----- name/id resolution ---------------------------------------
-
-    /// The shared device-type interner.
-    pub fn registry(&self) -> &TypeRegistry {
-        self.controller.registry()
-    }
-
-    /// The name behind `id` (borrowed from the registry).
-    pub fn resolve(&self, id: TypeId) -> &str {
-        self.registry().name(id)
-    }
-
-    /// Resolves an optional id, mapping unknown devices to `None`.
-    pub fn type_name(&self, id: Option<TypeId>) -> Option<&str> {
-        self.registry().resolve(id)
+        self.cell.load().handle_detailed(fingerprint)
     }
 
     // ----- gateway lifecycle ----------------------------------------
@@ -422,7 +414,8 @@ impl Sentinel {
 
     /// Completes a device's setup: identifies the fingerprint, adopts
     /// the returned isolation, pins restricted endpoints via
-    /// `resolver` and installs the enforcement rule. Emits
+    /// `resolver` and installs the enforcement rule. Response and
+    /// allow-list come from one pinned epoch. Emits
     /// [`SentinelEvent::Identified`] and, when the enforced class
     /// changed, [`SentinelEvent::IsolationChanged`].
     ///
@@ -439,9 +432,14 @@ impl Sentinel {
             .controller
             .device(mac)
             .map(|record| record.isolation.class());
-        let response = self
-            .controller
-            .on_setup_complete(mac, fingerprint, &resolver)?;
+        let service = self.cell.load();
+        let response = service.handle(fingerprint);
+        // The response itself is a Copy value (TypeId + isolation
+        // class); the owned allow-list is materialised only here, where
+        // the enforcement rule is actually installed.
+        let level = response.isolation_level(service.vulnerabilities());
+        self.controller
+            .on_setup_complete(mac, response.device_type, level, resolver)?;
         self.events.push_back(SentinelEvent::Identified {
             mac,
             device_type: response.device_type,
@@ -524,6 +522,11 @@ impl Sentinel {
     }
 
     // ----- knowledge updates ----------------------------------------
+    //
+    // Each edit publishes one epoch through `ServiceCell::update`, so it
+    // reaches this Sentinel's queries and every running server at once.
+    // Edits that must land in one epoch go through
+    // `service_cell().update(..)` directly.
 
     /// Registers a newly discovered device type from captured
     /// fingerprints and trains only its classifier (§IV-B-1
@@ -531,30 +534,45 @@ impl Sentinel {
     ///
     /// # Errors
     ///
-    /// [`CoreError::BadDataset`] if `fingerprints` is empty.
+    /// [`CoreError::BadDataset`] if `fingerprints` is empty; nothing is
+    /// published then.
     pub fn add_device_type(
-        &mut self,
+        &self,
         label: &str,
         fingerprints: &[Fingerprint],
         seed: u64,
     ) -> Result<TypeId, CoreError> {
-        self.controller
-            .service_mut()
-            .identifier_mut()
-            .add_device_type(label, fingerprints, seed)
+        self.cell.update(|service| {
+            service
+                .identifier_mut()
+                .add_device_type(label, fingerprints, seed)
+        })
     }
 
     /// Registers a new vulnerability advisory; subsequent queries for
     /// this type assess as restricted.
-    pub fn add_vulnerability(&mut self, device_type: &str, record: VulnerabilityRecord) -> TypeId {
-        let (identifier, vulnerabilities) = self.controller.service_mut().parts_mut();
-        vulnerabilities.add_record_named(identifier.registry_mut(), device_type, record)
+    pub fn add_vulnerability(&self, device_type: &str, record: VulnerabilityRecord) -> TypeId {
+        self.edit_advisories(|registry, db| db.add_record_named(registry, device_type, record))
     }
 
     /// Registers a vendor endpoint for a (typically restricted) type.
-    pub fn add_vendor_endpoint(&mut self, device_type: &str, endpoint: Endpoint) -> TypeId {
-        let (identifier, vulnerabilities) = self.controller.service_mut().parts_mut();
-        vulnerabilities.add_vendor_endpoint_named(identifier.registry_mut(), device_type, endpoint)
+    pub fn add_vendor_endpoint(&self, device_type: &str, endpoint: Endpoint) -> TypeId {
+        self.edit_advisories(|registry, db| {
+            db.add_vendor_endpoint_named(registry, device_type, endpoint)
+        })
+    }
+
+    /// Publishes one advisory edit keyed by a type name it interns.
+    fn edit_advisories(
+        &self,
+        edit: impl FnOnce(&mut TypeRegistry, &mut VulnerabilityDatabase) -> TypeId,
+    ) -> TypeId {
+        self.cell
+            .update(|service| {
+                let (identifier, vulnerabilities) = service.parts_mut();
+                Ok::<_, RegistryMismatch>(edit(identifier.registry_mut(), vulnerabilities))
+            })
+            .expect("interning a name only appends to the registry")
     }
 
     // ----- network front-end ----------------------------------------
@@ -564,104 +582,34 @@ impl Sentinel {
     /// [`sentinel_serve::wire`]) until the returned handle is shut
     /// down.
     ///
-    /// The server answers from this Sentinel's [`ServiceCell`]: the
-    /// current service is published into the cell (on first use) and
-    /// every server started from this `Sentinel` shares it. Knowledge
-    /// updates made afterwards ([`Sentinel::add_device_type`],
-    /// [`Sentinel::add_vulnerability`], …) reach running servers when
-    /// they are published with [`Sentinel::reload`] — connections stay
-    /// up across the swap, and in-flight batches are never answered
-    /// from a mix of models. The `Sentinel` itself stays fully usable,
-    /// including its gateway lifecycle.
+    /// The server answers from this Sentinel's [`ServiceCell`], like
+    /// every other server started from it and like
+    /// [`Sentinel::handle`]. Knowledge edits made afterwards reach it at
+    /// its next frame boundary, and a wire-admin reload it accepts is
+    /// what this Sentinel answers from next. Connections stay up across
+    /// the swap, and in-flight batches are never answered from a mix of
+    /// models.
     ///
     /// # Errors
     ///
     /// Propagates the socket bind failure.
     pub fn serve(
-        &mut self,
+        &self,
         addr: impl std::net::ToSocketAddrs,
         config: sentinel_serve::ServerConfig,
     ) -> std::io::Result<sentinel_serve::ServerHandle> {
-        let cell = Arc::clone(self.service_cell());
-        sentinel_serve::serve_cell(cell, addr, config)
+        sentinel_serve::serve_cell(Arc::clone(&self.cell), addr, config)
     }
 
-    // ----- model hot-reload -----------------------------------------
-
-    /// The epoch-swapped cell behind [`Sentinel::serve`] (created on
-    /// first use, seeded with the current service). Hand a clone to
-    /// [`sentinel_serve::serve_cell`] to run extra servers off the
-    /// same hot-reloadable model. The cell owns the compute pool all
-    /// of its parallel work runs on — sized once here, per
-    /// [`SentinelBuilder::compute_threads`], and kept across hot
-    /// reloads.
-    pub fn service_cell(&mut self) -> &Arc<ServiceCell> {
-        if self.cell.is_none() {
-            let service = self.controller.service().clone();
-            self.cell = Some(Arc::new(match self.compute_threads {
-                Some(threads) => ServiceCell::with_pool(
-                    service,
-                    Arc::new(sentinel_pool::ComputePool::new(threads)),
-                ),
-                None => ServiceCell::new(service),
-            }));
-        }
-        self.cell.as_ref().expect("cell just initialised")
-    }
-
-    /// The epoch currently published to servers (0 before the first
-    /// [`Sentinel::serve`] / [`Sentinel::reload`] created the cell).
-    pub fn epoch(&self) -> u64 {
-        self.cell.as_ref().map_or(0, |cell| cell.epoch())
-    }
-
-    /// Publishes this Sentinel's current knowledge — identifier models
-    /// *and* vulnerability database — as the next service epoch, so
-    /// every running server picks it up at its next frame boundary
-    /// without dropping a connection. Call after
-    /// [`Sentinel::add_device_type`], [`Sentinel::add_vulnerability`]
-    /// or [`Sentinel::add_vendor_endpoint`] to roll the update out.
-    /// Returns the new epoch.
-    ///
-    /// # Errors
-    ///
-    /// [`RegistryMismatch`] if the cell was meanwhile advanced to a
-    /// registry this Sentinel's service no longer extends (e.g. a
-    /// wire-admin reload added types this process never saw).
-    pub fn reload(&mut self) -> Result<u64, RegistryMismatch> {
-        let service = self.controller.service().clone();
-        self.service_cell().replace(service)
-    }
-
-    /// Swaps in a newly trained `identifier` — e.g. one reloaded from
-    /// a v2 model document via
-    /// [`sentinel_core::persist::read_identifier`] — keeping the
-    /// current vulnerability database, then publishes the result as
-    /// the next epoch (like [`Sentinel::reload`]).
-    ///
-    /// The identifier's registry must extend the current one: every
-    /// already-issued [`TypeId`] keeps its meaning, new types append.
-    ///
-    /// # Errors
-    ///
-    /// [`RegistryMismatch`] when the replacement would invalidate
-    /// issued ids; nothing is swapped in that case.
-    pub fn reload_model(
-        &mut self,
-        identifier: DeviceTypeIdentifier,
-    ) -> Result<u64, RegistryMismatch> {
-        identifier
-            .registry()
-            .ensure_extends(self.controller.service().registry())?;
-        let vulnerabilities = self.controller.service().vulnerabilities().clone();
-        let service = IoTSecurityService::new(identifier, vulnerabilities);
-        // Publish first: the cell may have advanced past this process
-        // (a wire-admin reload), and its own extension check is the
-        // authoritative one. Only a successful publish touches the
-        // in-process service, so an error leaves everything untouched.
-        let epoch = self.service_cell().replace(service.clone())?;
-        *self.controller.service_mut() = service;
-        Ok(epoch)
+    /// The epoch-swapped cell that holds this Sentinel's service. Hand
+    /// a clone to [`sentinel_serve::serve_cell`] to run extra servers
+    /// off the same model, or publish through it: a new identifier via
+    /// [`ServiceCell::replace_identifier`], several edits in one epoch
+    /// via [`ServiceCell::update`]. The cell owns the compute pool all
+    /// of its parallel work runs on, sized per
+    /// [`SentinelBuilder::compute_threads`] and kept across epochs.
+    pub fn service_cell(&self) -> &Arc<ServiceCell> {
+        &self.cell
     }
 
     // ----- component access -----------------------------------------
@@ -676,22 +624,11 @@ impl Sentinel {
         self.controller.device(mac)
     }
 
-    /// The IoT Security Service (identifier + vulnerability DB).
-    pub fn service(&self) -> &IoTSecurityService {
-        self.controller.service()
-    }
-
-    /// The trained identifier (e.g. for persisting via
-    /// [`sentinel_core::persist::write_identifier`]).
-    pub fn identifier(&self) -> &DeviceTypeIdentifier {
-        self.controller.service().identifier()
-    }
-
-    /// Shape statistics of the compiled classifier bank behind
-    /// [`Sentinel::handle`]'s stage one: forest/node counts, arena
-    /// footprint and the scan counter.
-    pub fn bank_stats(&self) -> sentinel_core::BankStats {
-        self.controller.service().bank_stats()
+    /// The current epoch of the IoT Security Service (identifier +
+    /// vulnerability DB), pinned: it keeps answering from that epoch
+    /// however many are published after it.
+    pub fn service(&self) -> ServiceEpoch {
+        self.cell.load()
     }
 
     /// The SDN controller, for flows the facade does not cover
@@ -785,7 +722,7 @@ mod tests {
     fn facade_answers_queries_and_resolves_names() {
         let s = sentinel();
         let resp = s.handle(&fp_bits(0b001, &[104, 110, 120]));
-        assert_eq!(s.type_name(resp.device_type), Some("CleanType"));
+        assert_eq!(s.service().type_name(resp.device_type), Some("CleanType"));
         assert_eq!(resp.isolation, IsolationClass::Trusted);
         let vuln = s.handle(&fp_bits(0b010, &[104, 110, 120]));
         assert_eq!(vuln.isolation, IsolationClass::Restricted);
@@ -817,7 +754,7 @@ mod tests {
                 ..
             } => {
                 assert_eq!(*emac, mac);
-                assert_eq!(s.type_name(*device_type), Some("CleanType"));
+                assert_eq!(s.service().type_name(*device_type), Some("CleanType"));
                 assert_eq!(*isolation, IsolationClass::Trusted);
             }
             other => panic!("expected Identified, got {other:?}"),
@@ -861,7 +798,7 @@ mod tests {
         match &events[0] {
             SentinelEvent::IncidentRaised(report) => {
                 assert_eq!(report.gateway, GatewayId(7));
-                assert_eq!(s.resolve(report.device_type), "VulnType");
+                assert_eq!(s.service().registry().name(report.device_type), "VulnType");
             }
             other => panic!("expected IncidentRaised, got {other:?}"),
         }
@@ -901,7 +838,7 @@ mod tests {
 
     #[test]
     fn knowledge_updates_flow_through_the_facade() {
-        let mut s = sentinel();
+        let s = sentinel();
         // CleanType is trusted until an advisory lands.
         assert_eq!(
             s.handle(&fp_bits(0b001, &[104, 110, 120])).isolation,
@@ -920,30 +857,24 @@ mod tests {
             .map(|i| fp_bits(0b1000, &[900 + i, 910, 920]))
             .collect();
         let id = s.add_device_type("NovelType", &fps, 9).unwrap();
-        assert_eq!(s.resolve(id), "NovelType");
+        assert_eq!(s.service().registry().name(id), "NovelType");
         let resp = s.handle(&fp_bits(0b1000, &[903, 910, 920]));
         assert_eq!(resp.device_type, Some(id));
     }
 
     #[test]
-    fn reload_publishes_knowledge_updates_to_the_cell() {
-        let mut s = sentinel();
+    fn an_edit_publishes_and_an_old_pin_keeps_its_epoch() {
+        let s = sentinel();
         let cell = Arc::clone(s.service_cell());
-        assert_eq!(s.epoch(), 1);
+        assert_eq!(s.service().epoch(), 1);
         let old_pin = cell.load();
 
         s.add_vulnerability(
             "CleanType",
             VulnerabilityRecord::new("CVE-R-1", "fresh", Severity::Critical),
         );
-        // The mutation is local until published…
-        assert_eq!(
-            old_pin.handle(&fp_bits(0b001, &[104, 110, 120])).isolation,
-            IsolationClass::Trusted
-        );
-        assert_eq!(s.reload().unwrap(), 2);
-        // …and the cell answers with it afterwards, while the old pin
-        // keeps its epoch until refreshed.
+        // The edit is published as the next epoch at once…
+        assert_eq!(s.service().epoch(), 2);
         assert_eq!(
             cell.load()
                 .handle(&fp_bits(0b001, &[104, 110, 120]))
@@ -951,23 +882,27 @@ mod tests {
             IsolationClass::Restricted
         );
         assert_eq!(
+            s.handle(&fp_bits(0b001, &[104, 110, 120])).isolation,
+            IsolationClass::Restricted
+        );
+        // …while the old pin keeps its epoch until refreshed.
+        assert_eq!(
             old_pin.handle(&fp_bits(0b001, &[104, 110, 120])).isolation,
             IsolationClass::Trusted
         );
-        assert_eq!(s.epoch(), 2);
     }
 
     #[test]
     fn reload_model_swaps_extended_identifiers_and_rejects_foreign_ones() {
-        let mut s = sentinel();
+        let s = sentinel();
         // An extension of the current identifier: same registry prefix
         // plus one incrementally learned type.
-        let mut extended = s.identifier().clone();
+        let mut extended = s.service().identifier().clone();
         let fps: Vec<Fingerprint> = (0..10)
             .map(|i| fp_bits(0b1000, &[900 + i, 910, 920]))
             .collect();
         let new_id = extended.add_device_type("NovelType", &fps, 9).unwrap();
-        assert_eq!(s.reload_model(extended).unwrap(), 2);
+        assert_eq!(s.service_cell().replace_identifier(extended).unwrap(), 2);
         let resp = s.handle(&fp_bits(0b1000, &[903, 910, 920]));
         assert_eq!(resp.device_type, Some(new_id));
         // The advisory registered at build time survives the swap.
@@ -990,48 +925,16 @@ mod tests {
             ));
         }
         let foreign = Trainer::default().train(&foreign_ds, 4).unwrap();
-        assert!(s.reload_model(foreign).is_err());
-        assert_eq!(s.epoch(), 2, "a refused reload must not advance the epoch");
+        assert!(s.service_cell().replace_identifier(foreign).is_err());
+        assert_eq!(
+            s.service().epoch(),
+            2,
+            "a refused reload must not advance the epoch"
+        );
         assert_eq!(
             s.handle(&fp_bits(0b1000, &[903, 910, 920])).device_type,
             Some(new_id)
         );
-    }
-
-    #[test]
-    fn reload_model_failure_leaves_in_process_service_untouched() {
-        let mut s = sentinel();
-        let cell = Arc::clone(s.service_cell());
-        // A wire-admin reload advances the shared cell past this
-        // process: id 3 is now a type this Sentinel never interned.
-        let mut remote = s.identifier().clone();
-        let remote_fps: Vec<Fingerprint> = (0..10)
-            .map(|i| fp_bits(0b1000, &[900 + i, 910, 920]))
-            .collect();
-        remote
-            .add_device_type("RemoteType", &remote_fps, 9)
-            .unwrap();
-        cell.replace_identifier(remote).unwrap();
-        assert_eq!(cell.epoch(), 2);
-
-        // A locally extended identifier passes the local check but
-        // collides with the cell's id 3 — the publish must fail
-        // *before* anything in-process is swapped.
-        let mut local = s.identifier().clone();
-        let local_fps: Vec<Fingerprint> = (0..10)
-            .map(|i| fp_bits(0b1_0000, &[700 + i, 710, 720]))
-            .collect();
-        local.add_device_type("LocalType", &local_fps, 9).unwrap();
-        let probe = fp_bits(0b1_0000, &[703, 710, 720]);
-        let before = s.handle(&probe);
-        assert!(s.reload_model(local).is_err());
-        assert!(
-            s.identifier().registry().get("LocalType").is_none(),
-            "a failed reload_model must not leave the in-process \
-             service diverged from the served epochs"
-        );
-        assert_eq!(s.handle(&probe), before);
-        assert_eq!(cell.epoch(), 2);
     }
 
     #[test]

@@ -130,7 +130,7 @@ fn chaos_soak_contains_every_fault_and_reconciles_exactly() {
     let plan = FaultPlan::generate(&cli_chaos_config(99));
     let scheduled_panics = plan.panic_queries.len() as u64;
     let slot = RegistrySlot::new();
-    let mut s = tiny_sentinel();
+    let s = tiny_sentinel();
     let handle = s
         .serve(
             "127.0.0.1:0",
@@ -158,7 +158,12 @@ fn chaos_soak_contains_every_fault_and_reconciles_exactly() {
         std::thread::spawn(move || chaos::inject(addr.as_str(), &plan, Some(&registry)))
     };
 
-    let hook: ReloadHook<'_> = Box::new(|| s.reload().map_err(|e| e.to_string()));
+    let hook: ReloadHook<'_> = Box::new(|| {
+        let current = s.service().identifier().clone();
+        s.service_cell()
+            .replace_identifier(current)
+            .map_err(|e| e.to_string())
+    });
     let drive_config = DriveConfig {
         connections: 3,
         pacing: Pacing::Uncapped,
@@ -250,7 +255,7 @@ fn rerunning_the_same_soak_seed_injects_the_same_faults() {
     let plan = FaultPlan::generate(&cli_chaos_config(5));
     let mut reports = Vec::new();
     for _ in 0..2 {
-        let mut s = tiny_sentinel();
+        let s = tiny_sentinel();
         let handle = s
             .serve(
                 "127.0.0.1:0",

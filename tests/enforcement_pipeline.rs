@@ -94,7 +94,7 @@ fn frames_to_flow_decisions() {
                 .complete_setup(capture.mac(), &fp, &resolver)
                 .unwrap();
             assert_eq!(
-                sentinel.type_name(response.device_type),
+                sentinel.service().type_name(response.device_type),
                 Some(name),
                 "device must be identified correctly for this test to be meaningful"
             );

@@ -119,7 +119,7 @@ fn loopback_fleet_survives_churn_and_a_reload_with_zero_errors() {
         trace.summary
     );
 
-    let mut s = tiny_sentinel();
+    let s = tiny_sentinel();
     let handle = s
         .serve(
             "127.0.0.1:0",
@@ -133,7 +133,12 @@ fn loopback_fleet_survives_churn_and_a_reload_with_zero_errors() {
 
     // The reload hook republishes the current model in-process — a
     // registry-compatible swap that bumps the serving epoch to 2.
-    let hook: ReloadHook<'_> = Box::new(|| s.reload().map_err(|e| e.to_string()));
+    let hook: ReloadHook<'_> = Box::new(|| {
+        let current = s.service().identifier().clone();
+        s.service_cell()
+            .replace_identifier(current)
+            .map_err(|e| e.to_string())
+    });
 
     let drive_config = DriveConfig {
         connections: 3,

@@ -75,7 +75,7 @@ fn uncontrollable_vulnerable_device_triggers_removal_advisory() {
     let fingerprint = FingerprintExtractor::extract_from(capture.packets());
     let response = sentinel.handle(&fingerprint);
     assert_eq!(
-        sentinel.type_name(response.device_type),
+        sentinel.service().type_name(response.device_type),
         Some("HomeMaticPlug")
     );
 
@@ -92,7 +92,7 @@ fn uncontrollable_vulnerable_device_triggers_removal_advisory() {
     let mac = homematic.instance_mac(0);
     let id = center.advise_removal(
         mac,
-        sentinel.type_name(response.device_type),
+        sentinel.service().type_name(response.device_type),
         SideChannel::ProprietaryRf,
         t0,
     );

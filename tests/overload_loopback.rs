@@ -109,7 +109,7 @@ fn victim_config(overload_retries: u32) -> ClientConfig {
 fn full_budget_sheds_with_typed_retryable_error_and_exact_counters() {
     let block = Arc::new(AtomicBool::new(true));
     let entered = Arc::new(AtomicU64::new(0));
-    let mut s = tiny_sentinel();
+    let s = tiny_sentinel();
     let handle = s
         .serve("127.0.0.1:0", blockable_config(&block, &entered))
         .expect("bind loopback server");
@@ -202,7 +202,7 @@ fn full_budget_sheds_with_typed_retryable_error_and_exact_counters() {
 fn client_backoff_turns_shed_into_success() {
     let block = Arc::new(AtomicBool::new(true));
     let entered = Arc::new(AtomicU64::new(0));
-    let mut s = tiny_sentinel();
+    let s = tiny_sentinel();
     let handle = s
         .serve("127.0.0.1:0", blockable_config(&block, &entered))
         .expect("bind loopback server");
@@ -265,9 +265,9 @@ fn client_backoff_turns_shed_into_success() {
 
 #[test]
 fn reload_rate_limit_refuses_with_retryable_overloaded() {
-    let mut s = tiny_sentinel();
+    let s = tiny_sentinel();
     let mut model = Vec::new();
-    persist::write_identifier(&mut model, s.identifier()).expect("persist model");
+    persist::write_identifier(&mut model, s.service().identifier()).expect("persist model");
     let handle = s
         .serve(
             "127.0.0.1:0",
@@ -327,9 +327,9 @@ fn reload_rate_limit_refuses_with_retryable_overloaded() {
 #[test]
 fn reload_panic_rolls_back_and_answers_typed_rejection() {
     let fail_once = Arc::new(AtomicBool::new(true));
-    let mut s = tiny_sentinel();
+    let s = tiny_sentinel();
     let mut model = Vec::new();
-    persist::write_identifier(&mut model, s.identifier()).expect("persist model");
+    persist::write_identifier(&mut model, s.service().identifier()).expect("persist model");
     let hook_flag = Arc::clone(&fail_once);
     let handle = s
         .serve(

@@ -98,7 +98,7 @@ fn probes(count: usize) -> Vec<Fingerprint> {
 #[test]
 fn batch_load_never_exceeds_the_configured_pool_size() {
     let _serial = serial();
-    let mut sentinel = SentinelBuilder::new()
+    let sentinel = SentinelBuilder::new()
         .dataset(dataset())
         .training_seed(4)
         .compute_threads(3)
@@ -139,14 +139,34 @@ fn batch_load_never_exceeds_the_configured_pool_size() {
 }
 
 #[test]
+fn facade_batches_fan_out_on_the_cells_pool() {
+    let _serial = serial();
+    let sentinel = SentinelBuilder::new()
+        .dataset(dataset())
+        .training_seed(4)
+        .compute_threads(3)
+        .build()
+        .unwrap();
+    let pool = sentinel.service_cell().pool();
+    let before = pool.counters().submitted;
+    let batch = probes(iot_sentinel::core::BATCH_CHUNK * 3 + 7);
+    let expected: Vec<_> = batch.iter().map(|fp| sentinel.handle(fp)).collect();
+    assert_eq!(sentinel.handle_batch(&batch), expected);
+    assert!(
+        pool.counters().submitted > before,
+        "a multi-chunk facade batch must run on the cell's pool"
+    );
+}
+
+#[test]
 fn epoch_swaps_keep_the_pool_and_drop_joins_its_workers() {
     let _serial = serial();
-    let mut sentinel = SentinelBuilder::new()
+    let sentinel = SentinelBuilder::new()
         .dataset(dataset())
         .training_seed(4)
         .build()
         .unwrap();
-    let service = sentinel.service().clone();
+    let service = sentinel.service().service().clone();
     let before_pool = live_threads();
     {
         let pool = Arc::new(ComputePool::new(2));
@@ -167,7 +187,7 @@ fn epoch_swaps_keep_the_pool_and_drop_joins_its_workers() {
             sentinel
                 .add_device_type(&format!("Swap{round}"), &fps, 9)
                 .unwrap();
-            let refreshed = sentinel.service().clone();
+            let refreshed = sentinel.service().service().clone();
             cell.replace(refreshed).unwrap();
             // The swap re-publishes the model; it must neither touch
             // the pool instance nor its threads.

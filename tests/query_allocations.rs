@@ -165,7 +165,8 @@ fn warm_identify_is_allocation_free() {
     // single-candidate / unknown outcomes own no heap data — so a warm
     // `identify` performs zero allocations.
     let s = sentinel();
-    let identifier = s.identifier();
+    let service = s.service();
+    let identifier = service.identifier();
     for bits in PROBE_BITS {
         let probe = fp_bits(bits, &[104, 110, 120]);
         // Warm up the thread-local scratch (and any lazy state).
@@ -188,7 +189,8 @@ fn warm_identify_is_allocation_free() {
 fn classify_candidates_into_reuses_the_scratch() {
     let _serial = serial();
     let s = sentinel();
-    let identifier = s.identifier();
+    let service = s.service();
+    let identifier = service.identifier();
     let prefix_len = identifier.config().fixed_prefix_len;
     let mut scratch = CandidateScratch::new();
     for bits in PROBE_BITS {
@@ -301,7 +303,7 @@ fn warm_multi_candidate_handle_is_allocation_free() {
 
     // `identify` returns the ranking: that vector is its one
     // allocation.
-    let (allocs, identification) = allocations_during(|| s.identifier().identify(&probes[0]));
+    let (allocs, identification) = allocations_during(|| service.identifier().identify(&probes[0]));
     assert_eq!(allocs, 1, "identify allocates the score vector only");
     assert!(identification.needed_discrimination());
 }
@@ -395,7 +397,8 @@ fn interpreted_bank_no_longer_allocates_vote_vectors() {
     // `classify_candidates_interpreted` allocates only the returned
     // candidate Vec (at most one allocation per non-empty result).
     let s = sentinel();
-    let identifier = s.identifier();
+    let service = s.service();
+    let identifier = service.identifier();
     let prefix_len = identifier.config().fixed_prefix_len;
     for bits in PROBE_BITS {
         let fixed = fp_bits(bits, &[104, 110, 120]).to_fixed_with(prefix_len);

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use iot_sentinel::core::{IsolationClass, ServiceResponse};
+use iot_sentinel::core::{persist, IsolationClass, ServiceResponse};
 use iot_sentinel::core::{Severity, VulnerabilityRecord};
 use iot_sentinel::fingerprint::{Dataset, Fingerprint, LabeledFingerprint, PacketFeatures};
 use iot_sentinel::serve::{ClientConfig, SentinelClient, ServerConfig};
@@ -74,7 +74,7 @@ fn server_config() -> ServerConfig {
 
 #[test]
 fn loopback_batch_is_byte_identical_to_in_process() {
-    let mut s = sentinel();
+    let s = sentinel();
     let batch = probes(150); // spans multiple BATCH_CHUNKs server-side
     let local = s.handle_batch(&batch);
 
@@ -91,7 +91,7 @@ fn loopback_batch_is_byte_identical_to_in_process() {
 
 #[test]
 fn concurrent_clients_all_get_correct_answers() {
-    let mut s = sentinel();
+    let s = sentinel();
     let handle = s.serve("127.0.0.1:0", server_config()).expect("bind");
     let addr = handle.local_addr();
 
@@ -129,7 +129,7 @@ fn concurrent_clients_all_get_correct_answers() {
 
 #[test]
 fn malformed_frames_leave_healthy_clients_unaffected() {
-    let mut s = sentinel();
+    let s = sentinel();
     let handle = s.serve("127.0.0.1:0", server_config()).expect("bind");
     let addr = handle.local_addr();
 
@@ -173,7 +173,7 @@ fn malformed_frames_leave_healthy_clients_unaffected() {
 /// tore a batch), and post-reload queries must identify the new type.
 #[test]
 fn reload_under_load_swaps_epochs_without_tearing_or_dropping() {
-    let mut s = sentinel();
+    let s = sentinel();
     // One probe per trained type, plus one matching the type published
     // in the first reload (unknown until then).
     let batch: Vec<Fingerprint> = vec![
@@ -182,9 +182,9 @@ fn reload_under_load_swaps_epochs_without_tearing_or_dropping() {
         fp_bits(0b100, &[106, 110, 120]),
         fp_bits(0b1000, &[903, 910, 920]),
     ];
-    // Every expected answer vector is registered here *before* the
-    // epoch that produces it is published, so whatever a client reads
-    // back is already in the list when it checks.
+    // Every expected answer vector is registered before a client can
+    // read back the epoch that produces it, so whatever a client reads
+    // is already in the list when it checks.
     let published: Mutex<Vec<Vec<ServiceResponse>>> = Mutex::new(vec![s.handle_batch(&batch)]);
     let handle = s.serve("127.0.0.1:0", server_config()).expect("bind");
     let addr = handle.local_addr();
@@ -230,22 +230,28 @@ fn reload_under_load_swaps_epochs_without_tearing_or_dropping() {
         let new_fps: Vec<Fingerprint> = (0..10)
             .map(|i| fp_bits(0b1000, &[900 + i, 910, 920]))
             .collect();
-        s.add_device_type("HotType", &new_fps, 9)
-            .expect("incremental training");
-        let expected = s.handle_batch(&batch);
-        published.lock().unwrap().push(expected);
-        assert_eq!(s.reload().expect("first reload"), 2);
+        {
+            // Held across the edit, which publishes: no client can read
+            // the new epoch back before its answers are registered.
+            let mut published = published.lock().unwrap();
+            s.add_device_type("HotType", &new_fps, 9)
+                .expect("incremental training");
+            assert_eq!(s.service().epoch(), 2);
+            published.push(s.handle_batch(&batch));
+        }
 
         std::thread::sleep(Duration::from_millis(60));
 
         // Reload 2: an advisory flips CleanType's isolation class.
-        s.add_vulnerability(
-            "CleanType",
-            VulnerabilityRecord::new("CVE-HOT-1", "published mid-flight", Severity::Critical),
-        );
-        let expected = s.handle_batch(&batch);
-        published.lock().unwrap().push(expected);
-        assert_eq!(s.reload().expect("second reload"), 3);
+        {
+            let mut published = published.lock().unwrap();
+            s.add_vulnerability(
+                "CleanType",
+                VulnerabilityRecord::new("CVE-HOT-1", "published mid-flight", Severity::Critical),
+            );
+            assert_eq!(s.service().epoch(), 3);
+            published.push(s.handle_batch(&batch));
+        }
 
         std::thread::sleep(Duration::from_millis(60));
         stop.store(true, Ordering::Release);
@@ -257,7 +263,7 @@ fn reload_under_load_swaps_epochs_without_tearing_or_dropping() {
         let mut client = SentinelClient::connect(addr, ClientConfig::default()).expect("connect");
         client.query_batch(&batch).expect("post-reload batch")
     };
-    let hot_id = s.identifier().registry().get("HotType").expect("interned");
+    let hot_id = s.service().registry().get("HotType").expect("interned");
     assert_eq!(final_responses[3].response.device_type, Some(hot_id));
     assert_eq!(
         final_responses[0].response.isolation,
@@ -288,9 +294,64 @@ fn reload_under_load_swaps_epochs_without_tearing_or_dropping() {
     assert_eq!(stats.connections_active, 0, "stats: {stats:?}");
 }
 
+/// One copy of the service: a model an admin client loads over the
+/// wire is what the in-process facade answers from next, and a later
+/// in-process edit builds on that model instead of replacing it.
+#[test]
+fn wire_reload_reaches_the_facade_and_a_later_edit_keeps_it() {
+    let s = sentinel();
+    let handle = s
+        .serve(
+            "127.0.0.1:0",
+            ServerConfig {
+                admin: true,
+                ..server_config()
+            },
+        )
+        .expect("bind");
+    let mut extended = s.service().identifier().clone();
+    let hot_fps: Vec<Fingerprint> = (0..10)
+        .map(|i| fp_bits(0b1000, &[900 + i, 910, 920]))
+        .collect();
+    extended
+        .add_device_type("HotType", &hot_fps, 9)
+        .expect("incremental training");
+    let mut model = Vec::new();
+    persist::write_identifier(&mut model, &extended).expect("persist model");
+
+    let mut client =
+        SentinelClient::connect(handle.local_addr(), ClientConfig::default()).expect("connect");
+    let ack = client.reload(model).expect("admin reload");
+    assert_eq!((ack.epoch, ack.types), (2, 4));
+
+    let probe = fp_bits(0b1000, &[903, 910, 920]);
+    assert_eq!(s.service().registry().len(), 4);
+    let hot = s.service().registry().get("HotType");
+    assert!(hot.is_some(), "the facade must see the wire-loaded type");
+    assert_eq!(s.handle(&probe).device_type, hot);
+
+    s.add_vulnerability(
+        "HotType",
+        VulnerabilityRecord::new("CVE-HOT-2", "after the wire reload", Severity::High),
+    );
+    let local = s.handle(&probe);
+    assert_eq!(
+        (local.device_type, local.isolation),
+        (hot, IsolationClass::Restricted)
+    );
+    let remote = client
+        .query_batch(std::slice::from_ref(&probe))
+        .expect("query after the edit");
+    assert_eq!(
+        remote[0].response, local,
+        "the server answers what the facade answers"
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn resolved_names_match_the_registry() {
-    let mut s = sentinel();
+    let s = sentinel();
     let handle = s.serve("127.0.0.1:0", server_config()).expect("bind");
     let mut client = SentinelClient::connect(
         handle.local_addr(),
@@ -307,7 +368,7 @@ fn resolved_names_match_the_registry() {
         assert_eq!(item.response, expected);
         assert_eq!(
             item.name.as_deref(),
-            s.type_name(expected.device_type),
+            s.service().type_name(expected.device_type),
             "remote name must be the registry's name"
         );
     }

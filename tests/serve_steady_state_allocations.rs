@@ -88,7 +88,7 @@ fn steady_state_frames_allocate_nothing_on_the_read_side() {
             fp_bits(0b010, &[100 + i, 110, 120]),
         ));
     }
-    let mut sentinel = SentinelBuilder::new()
+    let sentinel = SentinelBuilder::new()
         .dataset(ds)
         .training_seed(4)
         .build()

@@ -127,7 +127,7 @@ fn assert_monotone(prev: &MetricsSnapshot, next: &MetricsSnapshot) {
 
 #[test]
 fn stats_polls_stay_consistent_under_fire_and_reload() {
-    let mut s = sentinel();
+    let s = sentinel();
     let handle = s
         .serve(
             "127.0.0.1:0",
@@ -193,7 +193,7 @@ fn stats_polls_stay_consistent_under_fire_and_reload() {
             .collect();
         s.add_device_type("HotType", &new_fps, 9)
             .expect("incremental training");
-        assert_eq!(s.reload().expect("reload under fire"), 2);
+        assert_eq!(s.service().epoch(), 2, "the edit is the reload under fire");
         std::thread::sleep(Duration::from_millis(80));
 
         stop.store(true, Ordering::Release);
