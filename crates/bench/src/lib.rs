@@ -8,9 +8,7 @@
 //! | `fig5_accuracy` | Fig. 5 — per-type identification accuracy |
 //! | `table3_confusion` | Table III — confusion matrix of the 10 confused types |
 //! | `table4_timing` | Table IV — identification stage timing |
-//! | `table5_latency` | Table V — user latency with/without filtering |
-//! | `table6_overhead` | Table VI — filtering overhead |
-//! | `fig6_scaling` | Fig. 6a/b/c — latency, CPU and memory scaling |
+//! | `gateway_overhead` | Tables V–VI and Fig. 6a/b/c — per-packet cost and heap of the real enforcement path, with and without filtering, against flows and rules |
 //! | `ablations` | DESIGN.md §5 — prefix length, negative ratio, reference count, distance variant |
 //! | `standby_identification` | §VIII-A — identification from standby/operation traffic |
 

@@ -12,8 +12,7 @@ use sentinel_net::MacAddr;
 
 use crate::rule::EnforcementRule;
 
-/// Hash-table rule store with hit/miss accounting and a memory
-/// estimate for the Fig. 6c experiment.
+/// Hash-table rule store with hit/miss accounting.
 #[derive(Debug, Clone, Default)]
 pub struct RuleCache {
     rules: HashMap<MacAddr, EnforcementRule>,
@@ -78,19 +77,6 @@ impl RuleCache {
         self.misses
     }
 
-    /// Estimated memory consumption in bytes: per-rule footprints plus
-    /// hash-table bucket overhead.
-    pub fn estimated_memory_bytes(&self) -> usize {
-        let rules: usize = self
-            .rules
-            .values()
-            .map(EnforcementRule::memory_footprint)
-            .sum();
-        // HashMap bucket array: capacity × (key + pointer-ish
-        // overhead).
-        rules + self.rules.capacity() * (6 + 16)
-    }
-
     /// Iterates over installed rules.
     pub fn iter(&self) -> impl Iterator<Item = &EnforcementRule> {
         self.rules.values()
@@ -133,30 +119,6 @@ mod tests {
             cache.peek(mac(1)).unwrap().isolation(),
             &IsolationLevel::Trusted
         );
-    }
-
-    #[test]
-    fn memory_estimate_grows_linearly() {
-        let mut cache = RuleCache::new();
-        let mut previous = cache.estimated_memory_bytes();
-        let mut grew = 0;
-        for i in 0..200u32 {
-            let octets = [2, 0, 0, (i >> 8) as u8, i as u8, 0];
-            cache.install(EnforcementRule::new(
-                MacAddr::new(octets),
-                IsolationLevel::Strict,
-            ));
-            let now = cache.estimated_memory_bytes();
-            if now > previous {
-                grew += 1;
-            }
-            previous = now;
-        }
-        assert!(grew > 150, "memory estimate should grow with rules");
-        // Roughly linear: 200 strict rules ≈ 200 × footprint ± table
-        // overhead.
-        let per_rule = cache.estimated_memory_bytes() / 200;
-        assert!((90..400).contains(&per_rule), "per-rule bytes {per_rule}");
     }
 
     #[test]

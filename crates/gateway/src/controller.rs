@@ -33,6 +33,7 @@ pub struct SdnController {
     overlays: OverlayMap,
     devices: HashMap<MacAddr, DeviceRecord>,
     packet_ins: u64,
+    generation: u64,
     gateway_id: Option<GatewayId>,
     pending_incidents: Vec<IncidentReport>,
 }
@@ -63,9 +64,11 @@ impl SdnController {
         &self.cache
     }
 
-    /// Mutable access to the rule cache (experiments preload rules).
-    pub fn rule_cache_mut(&mut self) -> &mut RuleCache {
-        &mut self.cache
+    /// Counts rule changes: every rule install, eviction and flow-filter
+    /// change (and with them every overlay move) bumps it. A switch that
+    /// caches this controller's flow decisions drops them when it moves.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Overlay membership.
@@ -101,8 +104,7 @@ impl SdnController {
         }
         self.devices.insert(mac, DeviceRecord::new(mac, now));
         self.overlays.assign(mac, Overlay::Untrusted);
-        self.cache
-            .install(EnforcementRule::new(mac, IsolationLevel::Strict));
+        self.install(EnforcementRule::new(mac, IsolationLevel::Strict));
         Ok(())
     }
 
@@ -138,8 +140,7 @@ impl SdnController {
                 .collect(),
             _ => Vec::new(),
         };
-        self.cache
-            .install(EnforcementRule::new(mac, level).with_permitted_ips(pins));
+        self.install(EnforcementRule::new(mac, level).with_permitted_ips(pins));
         Ok(())
     }
 
@@ -150,7 +151,14 @@ impl SdnController {
             .ok_or(GatewayError::UnknownDevice(mac))?;
         self.overlays.remove(mac);
         self.cache.evict(mac);
+        self.generation += 1;
         Ok(())
+    }
+
+    /// Installs (or replaces) a device's rule as a new generation.
+    fn install(&mut self, rule: EnforcementRule) {
+        self.cache.install(rule);
+        self.generation += 1;
     }
 
     /// Packet-in: decides a flow that missed the switch's flow table.
@@ -214,7 +222,7 @@ impl SdnController {
             .peek(mac)
             .cloned()
             .ok_or(GatewayError::UnknownDevice(mac))?;
-        self.cache.install(rule.with_flow_filters(filters));
+        self.install(rule.with_flow_filters(filters));
         Ok(())
     }
 

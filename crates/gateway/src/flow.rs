@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::net::IpAddr;
 
-use sentinel_net::{MacAddr, Port, SimTime};
+use sentinel_net::{MacAddr, Port};
 
 /// The 7-tuple-ish key identifying one flow through the gateway.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,8 +84,6 @@ impl fmt::Display for DenyReason {
 pub struct Flow {
     /// The flow key.
     pub key: FlowKey,
-    /// When the flow was first seen.
-    pub started: SimTime,
     /// Packets forwarded on this flow.
     pub packets: u64,
     /// The cached decision.
@@ -110,12 +108,10 @@ impl FlowTable {
     pub fn record(
         &mut self,
         key: FlowKey,
-        now: SimTime,
         decision: impl FnOnce() -> FlowDecision,
     ) -> FlowDecision {
         let flow = self.flows.entry(key).or_insert_with(|| Flow {
             key,
-            started: now,
             packets: 0,
             decision: decision(),
         });
@@ -136,17 +132,6 @@ impl FlowTable {
     /// Whether no flow is tracked.
     pub fn is_empty(&self) -> bool {
         self.flows.is_empty()
-    }
-
-    /// Drops flows idle since before `cutoff` (flow expiry).
-    pub fn expire_started_before(&mut self, cutoff: SimTime) {
-        self.flows.retain(|_, f| f.started >= cutoff);
-    }
-
-    /// Removes every flow of a device (on eviction).
-    pub fn remove_device(&mut self, mac: MacAddr) {
-        self.flows
-            .retain(|k, _| k.src_mac != mac && k.dst_mac != mac);
     }
 }
 
@@ -172,7 +157,7 @@ mod tests {
         let mut table = FlowTable::new();
         let mut calls = 0;
         for _ in 0..5 {
-            let d = table.record(key(1, 443), SimTime::ZERO, || {
+            let d = table.record(key(1, 443), || {
                 calls += 1;
                 FlowDecision::Allow
             });
@@ -186,23 +171,12 @@ mod tests {
     #[test]
     fn distinct_keys_distinct_flows() {
         let mut table = FlowTable::new();
-        table.record(key(1, 443), SimTime::ZERO, || FlowDecision::Allow);
-        table.record(key(1, 80), SimTime::ZERO, || {
+        table.record(key(1, 443), || FlowDecision::Allow);
+        table.record(key(1, 80), || {
             FlowDecision::Deny(DenyReason::InternetBlocked)
         });
         assert_eq!(table.len(), 2);
         assert!(!table.get(&key(1, 80)).unwrap().decision.is_allowed());
-    }
-
-    #[test]
-    fn expiry_and_device_removal() {
-        let mut table = FlowTable::new();
-        table.record(key(1, 443), SimTime::from_secs(1), || FlowDecision::Allow);
-        table.record(key(2, 443), SimTime::from_secs(100), || FlowDecision::Allow);
-        table.expire_started_before(SimTime::from_secs(50));
-        assert_eq!(table.len(), 1);
-        table.remove_device(MacAddr::new([2, 0, 0, 0, 0, 2]));
-        assert!(table.is_empty());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! gateway router of a home or small-office network. This crate
 //! simulates the paper's deployment — Open vSwitch managed by a custom
 //! Floodlight module on a Raspberry Pi 2 — with real data structures on
-//! the fast path and calibrated models for the physical substrate:
+//! the enforcement path; `sentinel-bench`'s `gateway_overhead` binary
+//! measures Tables V-VI and Fig. 6 on that path:
 //!
 //! * [`rule`] / [`cache`] — MAC-keyed enforcement rules (Fig. 2) stored
 //!   in a hash table so lookup stays O(1) as the rule set grows (§V:
@@ -16,15 +17,10 @@
 //! * [`switch`] / [`controller`] — the OVS-like forwarding element and
 //!   the Floodlight-like controller that installs the rule for the
 //!   answer its caller got from the IoT Security Service. The gateway
-//!   enforces; it holds no copy of the service.
+//!   enforces; it holds no copy of the service. The switch drops its
+//!   cached flow decisions whenever the controller's rules change.
 //! * [`wps`] — device-specific WPA2-PSK provisioning and the §VIII-A
 //!   legacy re-keying flow.
-//! * [`latency`] / [`resources`] — calibrated models of the R-Pi
-//!   testbed's latency, CPU and memory behaviour (Tables V-VI,
-//!   Fig. 6); rule lookups on the measured path are *real* hash-table
-//!   operations.
-//! * [`testbed`] — the Fig. 4 lab: devices, local and remote servers,
-//!   and the experiment drivers behind Tables V-VI and Fig. 6.
 //!
 //! # Example
 //!
@@ -48,13 +44,10 @@ pub mod controller;
 pub mod device;
 pub mod error;
 pub mod flow;
-pub mod latency;
 pub mod notify;
 pub mod overlay;
-pub mod resources;
 pub mod rule;
 pub mod switch;
-pub mod testbed;
 pub mod wps;
 
 pub use cache::RuleCache;
@@ -62,11 +55,8 @@ pub use controller::SdnController;
 pub use device::DeviceRecord;
 pub use error::GatewayError;
 pub use flow::{FlowDecision, FlowKey, FlowTable};
-pub use latency::LatencyModel;
 pub use notify::{NotificationCenter, NotificationState, SideChannel, UserNotification};
 pub use overlay::{Overlay, OverlayMap};
-pub use resources::ResourceModel;
 pub use rule::{EnforcementRule, FilterAction, FlowFilter};
 pub use switch::OvsSwitch;
-pub use testbed::Testbed;
 pub use wps::WpsRegistrar;

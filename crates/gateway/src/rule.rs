@@ -162,7 +162,9 @@ impl EnforcementRule {
         }
     }
 
-    /// The Fig. 2 hash value used as the cache key.
+    /// The Fig. 2 hash value of the rule's MAC, shown in the rule's
+    /// display form. [`RuleCache`](crate::RuleCache) keys on the MAC
+    /// itself, not on this hash.
     pub fn hash_value(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for b in self.mac.octets() {
@@ -170,23 +172,6 @@ impl EnforcementRule {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         h
-    }
-
-    /// Approximate in-memory footprint of this rule in bytes (used by
-    /// the Fig. 6c memory model): struct body plus pinned addresses,
-    /// flow filters and hash-table slot overhead.
-    pub fn memory_footprint(&self) -> usize {
-        let endpoints = match &self.isolation {
-            IsolationLevel::Restricted { allowed_endpoints } => allowed_endpoints
-                .iter()
-                .map(|e| match e {
-                    Endpoint::Ip(_) => 20,
-                    Endpoint::Host(h) => 24 + h.len(),
-                })
-                .sum(),
-            _ => 0,
-        };
-        96 + self.permitted_ips.len() * 20 + self.flow_filters.len() * 24 + endpoints
     }
 }
 
@@ -250,19 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_footprint_grows_with_pins() {
-        let small = EnforcementRule::new(mac(), IsolationLevel::Strict);
-        let big = EnforcementRule::new(
-            mac(),
-            IsolationLevel::Restricted {
-                allowed_endpoints: vec![Endpoint::Host("cloud.example".into())],
-            },
-        )
-        .with_permitted_ips(vec![IpAddr::V4(Ipv4Addr::new(52, 1, 2, 3))]);
-        assert!(big.memory_footprint() > small.memory_footprint());
-    }
-
-    #[test]
     fn display_mentions_level() {
         let rule = EnforcementRule::new(mac(), IsolationLevel::Strict);
         assert!(rule.to_string().contains("strict"));
@@ -323,16 +295,5 @@ mod tests {
         assert_eq!(rule.match_filter(&telnet), Some(FilterAction::Deny));
         let https = key_to(IpAddr::V4(Ipv4Addr::new(8, 8, 8, 8)), 6, 443);
         assert_eq!(rule.match_filter(&https), None);
-    }
-
-    #[test]
-    fn memory_footprint_counts_filters() {
-        let bare = EnforcementRule::new(mac(), IsolationLevel::Strict);
-        let filtered = EnforcementRule::new(mac(), IsolationLevel::Strict)
-            .with_flow_filters(vec![FlowFilter::deny(None, None, None); 3]);
-        assert_eq!(
-            filtered.memory_footprint() - bare.memory_footprint(),
-            3 * 24
-        );
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! First packet of a flow misses the flow table and escalates to the
 //! controller (packet-in); the decision is then cached so subsequent
-//! packets hit the fast path. With filtering disabled the switch
-//! behaves as a plain learning switch (the paper's "No Filtering"
-//! baseline).
+//! packets hit the fast path, until the controller's rules change
+//! ([`SdnController::generation`]) and every cached decision is
+//! dropped. With filtering disabled the switch behaves as a plain
+//! learning switch (the paper's "No Filtering" baseline).
 
 use sentinel_net::SimTime;
 
@@ -30,6 +31,8 @@ pub struct OvsSwitch {
     flows: FlowTable,
     stats: SwitchStats,
     filtering: bool,
+    /// The controller generation the cached decisions were made at.
+    synced: u64,
 }
 
 impl OvsSwitch {
@@ -39,6 +42,7 @@ impl OvsSwitch {
             flows: FlowTable::new(),
             stats: SwitchStats::default(),
             filtering: true,
+            synced: 0,
         }
     }
 
@@ -63,13 +67,9 @@ impl OvsSwitch {
         &self.flows
     }
 
-    /// Mutable flow table access (experiments preload flows).
-    pub fn flow_table_mut(&mut self) -> &mut FlowTable {
-        &mut self.flows
-    }
-
     /// Processes one packet belonging to `key`: consults the flow
-    /// table, escalating to `controller` on a miss.
+    /// table, escalating to `controller` on a miss. A rule change since
+    /// the table's decisions were made empties it first.
     pub fn process_packet(
         &mut self,
         key: FlowKey,
@@ -82,8 +82,12 @@ impl OvsSwitch {
             self.stats.forwarded += 1;
             return FlowDecision::Allow;
         }
+        if self.synced != controller.generation() {
+            self.flows = FlowTable::new();
+            self.synced = controller.generation();
+        }
         let mut missed = false;
-        let decision = self.flows.record(key, now, || {
+        let decision = self.flows.record(key, || {
             missed = true;
             controller.decide_flow(&key, dst_is_local_device, now)
         });
@@ -102,7 +106,9 @@ impl OvsSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sentinel_core::{IoTSecurityService, Trainer, VulnerabilityDatabase};
+    use crate::flow::DenyReason;
+    use crate::rule::FlowFilter;
+    use sentinel_core::{IoTSecurityService, IsolationLevel, Trainer, VulnerabilityDatabase};
     use sentinel_fingerprint::{Dataset, Fingerprint, LabeledFingerprint, PacketFeatures};
     use sentinel_net::{MacAddr, Port};
     use std::net::{IpAddr, Ipv4Addr};
@@ -202,5 +208,69 @@ mod tests {
         }
         assert_eq!(sw.stats().dropped, 4);
         assert_eq!(sw.stats().table_misses, 1, "deny decision is cached too");
+    }
+
+    /// Installs a trusted rule for `dev`, as for a clean device's
+    /// identification.
+    fn trust(ctl: &mut SdnController, dev: MacAddr) {
+        ctl.on_setup_complete(dev, None, IsolationLevel::Trusted, &|_| None)
+            .unwrap();
+    }
+
+    #[test]
+    fn identification_reaches_a_flow_denied_before_it() {
+        let mut ctl = SdnController::new();
+        let mut sw = OvsSwitch::new();
+        let dev = mac(1);
+        ctl.on_device_appeared(dev, SimTime::ZERO).unwrap();
+        assert_eq!(
+            sw.process_packet(key(dev), false, SimTime::ZERO, &mut ctl),
+            FlowDecision::Deny(DenyReason::InternetBlocked)
+        );
+        trust(&mut ctl, dev);
+        assert_eq!(
+            sw.process_packet(key(dev), false, SimTime::ZERO, &mut ctl),
+            FlowDecision::Allow
+        );
+    }
+
+    #[test]
+    fn flow_filters_reach_an_open_flow() {
+        let mut ctl = SdnController::new();
+        let mut sw = OvsSwitch::new();
+        let dev = mac(1);
+        ctl.on_device_appeared(dev, SimTime::ZERO).unwrap();
+        trust(&mut ctl, dev);
+        let telnet = FlowKey {
+            dst_port: Port::new(23),
+            ..key(dev)
+        };
+        assert!(sw
+            .process_packet(telnet, false, SimTime::ZERO, &mut ctl)
+            .is_allowed());
+        ctl.set_flow_filters(dev, vec![FlowFilter::deny(None, None, Some(Port::new(23)))])
+            .unwrap();
+        assert_eq!(
+            sw.process_packet(telnet, false, SimTime::ZERO, &mut ctl),
+            FlowDecision::Deny(DenyReason::FlowFiltered)
+        );
+    }
+
+    #[test]
+    fn departure_reaches_cached_flows() {
+        let mut ctl = SdnController::new();
+        let mut sw = OvsSwitch::new();
+        let dev = mac(1);
+        ctl.on_device_appeared(dev, SimTime::ZERO).unwrap();
+        trust(&mut ctl, dev);
+        assert!(sw
+            .process_packet(key(dev), false, SimTime::ZERO, &mut ctl)
+            .is_allowed());
+        ctl.on_device_left(dev).unwrap();
+        assert!(ctl.rule_cache().is_empty());
+        assert_eq!(
+            sw.process_packet(key(dev), false, SimTime::ZERO, &mut ctl),
+            FlowDecision::Deny(DenyReason::NoRule)
+        );
     }
 }

@@ -80,7 +80,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     show("UDP 9999 to the camera cloud", &d);
 
-    // Narrow the camera to TCP 443 towards its cloud, nothing else.
+    // Narrow the camera to TCP 443 towards its cloud, nothing else. The
+    // rule change voids the switch's cached decisions, so the already
+    // open UDP 9999 flow is decided again.
     sentinel.controller_mut().set_flow_filters(
         cam,
         vec![
@@ -88,19 +90,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             FlowFilter::deny(None, None, None),
         ],
     )?;
-    // Flow-table entries cache decisions; use fresh port numbers below.
     println!("\nafter flow-granular narrowing (TCP 443 to cloud only):");
     let t = SimTime::from_secs(1);
-    let d = sentinel.decide_flow(&flow(cloud, 6, 443), false, t);
-    show("TCP 443 to the camera cloud", &d);
-    let d = sentinel.decide_flow(&flow(cloud, 17, 9998), false, t);
-    show("UDP 9998 to the camera cloud", &d);
-    let d = sentinel.decide_flow(
-        &flow(IpAddr::V4(Ipv4Addr::new(8, 8, 8, 8)), 6, 443),
-        false,
-        t,
-    );
-    show("TCP 443 elsewhere", &d);
+    for (what, key) in [
+        ("TCP 443 to the camera cloud", flow(cloud, 6, 443)),
+        (
+            "UDP 9999 to the camera cloud (open flow)",
+            flow(cloud, 17, 9999),
+        ),
+        (
+            "TCP 443 elsewhere",
+            flow(IpAddr::V4(Ipv4Addr::new(8, 8, 8, 8)), 6, 443),
+        ),
+    ] {
+        let d = switch.process_packet(key, false, t, sentinel.controller_mut());
+        show(what, &d);
+    }
 
     // The denials surfaced as typed §III-B incident events.
     let incidents: Vec<_> = sentinel

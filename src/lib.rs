@@ -77,7 +77,7 @@
 //! | [`pool`] | `sentinel-pool` | persistent compute pool behind all parallel paths |
 //! | [`editdist`] | `sentinel-editdist` | Damerau-Levenshtein over packet words |
 //! | [`core`] | `sentinel-core` | two-stage identifier, IoTSSP, TypeRegistry, vulnerability DB |
-//! | [`gateway`] | `sentinel-gateway` | SDN switch/controller, rules, overlays, testbed |
+//! | [`gateway`] | `sentinel-gateway` | SDN switch/controller, rules, overlays, WPS |
 //! | [`serve`] | `sentinel-serve` | wire protocol, threaded TCP query server, blocking client |
 //! | [`obs`] | `sentinel-obs` | lock-free metrics registry, stage histograms, snapshots |
 //! | [`fleet`] | `sentinel-fleet` | discrete-event fleet simulator + live-server load driver |

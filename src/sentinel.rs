@@ -632,7 +632,9 @@ impl Sentinel {
     }
 
     /// The SDN controller, for flows the facade does not cover
-    /// (flow-level filters, rule-cache preloading, testbeds).
+    /// (flow-level filters, driving an [`OvsSwitch`]).
+    ///
+    /// [`OvsSwitch`]: sentinel_gateway::OvsSwitch
     pub fn controller(&self) -> &SdnController {
         &self.controller
     }
