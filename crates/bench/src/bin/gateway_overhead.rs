@@ -293,14 +293,5 @@ fn main() {
             off_bytes == 0 && off_calls == 0,
         ),
     ];
-    println!("\n== shape claims ==");
-    let mut failed = false;
-    for (claim, held) in &claims {
-        println!("{} {claim}", if *held { "ok  " } else { "FAIL" });
-        failed |= !held;
-    }
-    if failed {
-        eprintln!("gateway_overhead: a shape claim failed");
-        std::process::exit(1);
-    }
+    sentinel_bench::enforce_claims("gateway_overhead", "shape claim", &claims);
 }

@@ -1,9 +1,12 @@
 //! Regenerates **Table III**: the confusion matrix for the ten device
 //! types with low identification rate (the four same-vendor blocks).
 //!
+//! The run exits nonzero unless block purity is 100 %: no prediction
+//! for a confused device leaves its own vendor block, as in the paper.
+//!
 //! Usage: `table3_confusion [repetitions]` (default 10).
 
-use sentinel_bench::{evaluation_dataset, run_identification_eval};
+use sentinel_bench::{enforce_claims, evaluation_dataset, run_identification_eval};
 use sentinel_devices::catalog;
 
 fn main() {
@@ -65,5 +68,16 @@ fn main() {
     println!(
         "\nblock purity: {:.1}% of confused-device predictions stay within the vendor block",
         within as f64 / (within + outside).max(1) as f64 * 100.0
+    );
+    enforce_claims(
+        "table3_confusion",
+        "fidelity claim",
+        &[(
+            format!(
+                "block purity 100 % ({outside} of {} predictions leave their block)",
+                within + outside
+            ),
+            outside == 0,
+        )],
     );
 }

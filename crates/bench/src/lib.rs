@@ -84,6 +84,22 @@ pub fn fmt_ratio(r: f64) -> String {
     format!("{r:.3}")
 }
 
+/// Prints each `(claim, held)` pair as an `ok` / `FAIL` line under a
+/// `== {kind}s ==` heading, then exits the process with status 1,
+/// naming `bin`, if any claim failed.
+pub fn enforce_claims(bin: &str, kind: &str, claims: &[(String, bool)]) {
+    println!("\n== {kind}s ==");
+    let mut failed = false;
+    for (claim, held) in claims {
+        println!("{} {claim}", if *held { "ok  " } else { "FAIL" });
+        failed |= !held;
+    }
+    if failed {
+        eprintln!("{bin}: a {kind} failed");
+        std::process::exit(1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,7 +3,7 @@
 //! A robustness claim is only worth what the harness that tried to
 //! break it was worth. This crate generates a **seeded, bit-reproducible
 //! [`FaultPlan`]** — which attacker connection misbehaves how, at which
-//! frame, and which scheduled query the compute pool must panic on —
+//! frame, and which scheduled query batch must panic —
 //! and executes it against a *live* `sentinel-serve` instance:
 //!
 //! * [`FaultStream`] wraps any `Read + Write` transport and applies one
@@ -19,7 +19,7 @@
 //!   when given the server's registry.
 //! * [`query_panic_hook`] turns the plan's scheduled panic points into
 //!   a [`ServerConfig::fault_injection`] hook: the Nth query batch the
-//!   pool executes panics, deterministically, and the server must
+//!   server computes panics, deterministically, and the server must
 //!   contain it (one dead connection, one `worker_panics`, gauge back
 //!   to zero).
 //!
@@ -65,7 +65,7 @@ pub struct ChaosConfig {
     /// this under the server's `io_timeout` to exercise the deadline
     /// without tripping it (or over it, to force the trip).
     pub stall: Duration,
-    /// Schedule a pool-task panic every this-many executed query
+    /// Schedule a query-batch panic every this-many executed query
     /// batches (`0` disables scheduled panics).
     pub panic_every: u64,
     /// How many panics to schedule in total.
@@ -122,7 +122,7 @@ pub struct ConnectionPlan {
 }
 
 /// A complete seeded fault schedule: per-connection frame faults plus
-/// the global query sequence numbers whose pool task must panic.
+/// the global query-batch sequence numbers that must panic.
 ///
 /// Plans are plain data — comparing two for equality (or their
 /// [`digest`](FaultPlan::digest)s) is how tests pin that the same seed
@@ -133,7 +133,7 @@ pub struct FaultPlan {
     pub seed: u64,
     /// One schedule per attacker connection.
     pub connections: Vec<ConnectionPlan>,
-    /// 1-based query-batch sequence numbers (in pool execution order)
+    /// 1-based query-batch sequence numbers (in server execution order)
     /// that panic. Sorted ascending.
     pub panic_queries: Vec<u64>,
 }
@@ -485,7 +485,7 @@ pub fn query_panic_hook(plan: &FaultPlan, registry: RegistrySlot) -> FaultInject
         let n = seq.fetch_add(1, Ordering::SeqCst) + 1;
         if schedule.binary_search(&n).is_ok() {
             registry.incr(Counter::FaultsInjected);
-            panic!("chaos: scheduled pool-task fault at query batch {n}");
+            panic!("chaos: scheduled query-batch fault at query batch {n}");
         }
     })
 }

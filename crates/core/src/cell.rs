@@ -66,11 +66,9 @@ pub struct ServiceCell {
     epoch: AtomicU64,
     /// Successful swaps since the cell was created.
     reloads: AtomicU64,
-    /// The compute pool every parallel path of this service runs on:
-    /// batch chunks and background recompiles. Sized
-    /// once when the cell is built and **kept across epoch swaps** —
-    /// a hot reload republishes models against the same pinned
-    /// workers, so reloading never churns threads.
+    /// The compute pool batch chunks fan out over. **Kept across epoch
+    /// swaps**, so its width and its task counters never reset on a
+    /// hot reload.
     pool: Arc<ComputePool>,
 }
 
@@ -525,7 +523,7 @@ mod tests {
         assert_eq!(
             Arc::as_ptr(cell.pool()),
             Arc::as_ptr(sentinel_pool::global()),
-            "plain cells must share one process-wide worker set"
+            "plain cells must share one process-wide pool"
         );
     }
 }

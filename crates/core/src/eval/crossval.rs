@@ -175,18 +175,17 @@ pub fn cross_validate(
         let mut slots: Vec<Option<Result<EvaluationReport, CoreError>>> = Vec::new();
         slots.resize_with(folds.len(), || None);
         let chunk = folds.len().div_ceil(config.threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (ci, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
                 let folds = &folds;
                 let run_fold = &run_fold;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (off, slot) in slot_chunk.iter_mut().enumerate() {
                         *slot = Some(run_fold(&folds[ci * chunk + off]));
                     }
                 });
             }
-        })
-        .expect("cross-validation worker panicked");
+        });
         slots.into_iter().map(|s| s.expect("slot filled")).collect()
     };
     let mut merged = EvaluationReport {

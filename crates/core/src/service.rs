@@ -182,21 +182,19 @@ impl IoTSecurityService {
     /// per fingerprint in order.
     ///
     /// Semantically identical to calling [`Self::handle`] N times.
-    /// Batches larger than one [`BATCH_CHUNK`] are fanned out as chunk
-    /// tasks on the global compute pool; small batches stay on the
-    /// calling thread. No call here ever spawns a thread. Use
-    /// [`Self::handle_batch_on`] to pick the pool.
+    /// Batches larger than one [`BATCH_CHUNK`] fan their chunks out
+    /// over the global compute pool; smaller batches stay on the
+    /// calling thread. Use [`Self::handle_batch_on`] to pick the pool.
     pub fn handle_batch(&self, fingerprints: &[Fingerprint]) -> Vec<ServiceResponse> {
         self.handle_batch_on(sentinel_pool::global(), fingerprints)
     }
 
     /// Handles a batch on an explicit compute pool: the batch is split
-    /// into [`BATCH_CHUNK`]-sized chunk tasks, each chunk's responses
-    /// land in its own lane, and lanes are merged in chunk order — the
-    /// result is bit-identical to the sequential order regardless of
-    /// scheduling. Called from a task already running on `pool`, the
-    /// chunks are shared with that pool's idle workers while the
-    /// caller drains them too; nothing here ever spawns a thread.
+    /// into [`BATCH_CHUNK`]-sized chunk tasks that the caller and up to
+    /// `pool.threads() - 1` scoped helpers drain
+    /// ([`ComputePool::for_each`]). Each chunk's responses land in its
+    /// own lane, and lanes are merged in chunk order — the result is
+    /// bit-identical to the sequential order regardless of scheduling.
     pub fn handle_batch_on(
         &self,
         pool: &ComputePool,
@@ -208,10 +206,11 @@ impl IoTSecurityService {
     }
 
     /// [`Self::handle_batch_on`] against a caller-owned output buffer:
-    /// `out` is cleared and refilled, so a warm caller that reuses its
-    /// buffer performs zero heap allocations for the whole batch (the
-    /// per-chunk lanes live in per-thread scratch and reuse their
-    /// capacity too).
+    /// `out` is cleared and refilled. The per-chunk lanes live in the
+    /// caller's thread-local scratch and reuse their capacity, so a
+    /// warm caller on a one-thread pool performs zero heap allocations
+    /// for the whole batch; a wider fan-out starts helper threads,
+    /// which allocate.
     pub fn handle_batch_into(
         &self,
         pool: &ComputePool,
@@ -256,10 +255,10 @@ fn lane_guard(lane: &Mutex<Vec<ServiceResponse>>) -> MutexGuard<'_, Vec<ServiceR
 
 /// Reusable per-chunk response lanes for the pooled batch path. One
 /// lane per chunk, each behind its own (always uncontended) `Mutex` so
-/// pool tasks — which share the job closure by reference — get
+/// chunk tasks — which share the job closure by reference — get
 /// exclusive lane access; lanes are merged in chunk order. Thread-local
-/// per *calling* thread: pool workers running a batch hand-off and
-/// serve connection threads each warm their own copy once and reuse it.
+/// per *calling* thread: each serve connection thread warms its own
+/// copy once and reuses it.
 #[derive(Debug, Default)]
 struct BatchScratch {
     lanes: Vec<Mutex<Vec<ServiceResponse>>>,

@@ -1,6 +1,7 @@
 //! The variable-length fingerprint F and the fixed 276-dimensional F′.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::features::{PacketFeatures, FEATURE_COUNT};
 
@@ -13,9 +14,13 @@ pub const FIXED_DIMS: usize = FIXED_PACKETS * FEATURE_COUNT;
 /// The variable-length fingerprint **F**: a 23×n matrix stored as its
 /// n packet columns, in the temporal order the device sent them, with
 /// consecutive duplicates already discarded (Eq. 1 of the paper).
+///
+/// Immutable once built, so clones share one column buffer: a copy
+/// kept by a training pool, a query batch or a second service costs no
+/// column memory.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Fingerprint {
-    columns: Vec<PacketFeatures>,
+    columns: Arc<[PacketFeatures]>,
 }
 
 impl Fingerprint {
@@ -32,14 +37,11 @@ impl Fingerprint {
     /// let fp = Fingerprint::from_columns(vec![a, a, b, b, a]);
     /// assert_eq!(fp.len(), 3); // a b a
     /// ```
-    pub fn from_columns(columns: Vec<PacketFeatures>) -> Self {
-        let mut deduped: Vec<PacketFeatures> = Vec::with_capacity(columns.len());
-        for col in columns {
-            if deduped.last() != Some(&col) {
-                deduped.push(col);
-            }
+    pub fn from_columns(mut columns: Vec<PacketFeatures>) -> Self {
+        columns.dedup();
+        Fingerprint {
+            columns: columns.into(),
         }
-        Fingerprint { columns: deduped }
     }
 
     /// Creates a fingerprint from columns already known to be free of
@@ -50,7 +52,9 @@ impl Fingerprint {
             columns.windows(2).all(|w| w[0] != w[1]),
             "columns contain consecutive duplicates"
         );
-        Fingerprint { columns }
+        Fingerprint {
+            columns: columns.into(),
+        }
     }
 
     /// The number of packet columns, n.
@@ -86,7 +90,7 @@ impl Fingerprint {
     /// shared by [`Fingerprint::unique_prefix`] and [`FixedScratch`].
     pub fn unique_prefix_into(&self, limit: usize, out: &mut Vec<PacketFeatures>) {
         out.clear();
-        for col in &self.columns {
+        for col in self.columns.iter() {
             if out.len() == limit {
                 break;
             }
@@ -239,6 +243,14 @@ mod tests {
         assert_eq!(fp.columns()[0], col(1));
         assert_eq!(fp.columns()[1], col(2));
         assert_eq!(fp.columns()[2], col(1));
+    }
+
+    #[test]
+    fn clones_share_their_columns() {
+        let fp = Fingerprint::from_columns(vec![col(1), col(2), col(3)]);
+        let copy = fp.clone();
+        assert_eq!(copy, fp);
+        assert!(std::ptr::eq(copy.columns(), fp.columns()));
     }
 
     #[test]

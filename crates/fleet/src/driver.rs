@@ -310,7 +310,7 @@ pub fn drive(
     let reload_result: std::sync::Mutex<Option<Result<u64, String>>> = std::sync::Mutex::new(None);
     let want_reload = reload_at_ns.is_some() && reload_hook.is_some();
 
-    let reports = crossbeam::thread::scope(|scope| {
+    let reports = std::thread::scope(|scope| {
         if want_reload {
             let reload_at = reload_at_ns.expect("checked above");
             let hook = reload_hook.as_mut().expect("checked above");
@@ -320,7 +320,7 @@ pub fn drive(
             let ack_wall = &ack_wall;
             let reload_result = &reload_result;
             let pacing = config.pacing;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 match wall_target(pacing, reload_at) {
                     Some(target_ns) => {
                         let elapsed = t0.elapsed().as_nanos() as u64;
@@ -361,7 +361,7 @@ pub fn drive(
                 let sent_total = &sent_total;
                 let finished_workers = &finished_workers;
                 let ack_epoch = &ack_epoch;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let report = run_worker(
                         plan,
                         pool,
@@ -381,8 +381,7 @@ pub fn drive(
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .collect::<Vec<_>>()
-    })
-    .expect("driver scope");
+    });
 
     let wall_elapsed = t0.elapsed();
     let mut latency = LogHistogram::new();

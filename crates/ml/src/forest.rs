@@ -118,17 +118,16 @@ impl RandomForest {
         let mut slots: Vec<Option<Result<DecisionTree, MlError>>> = Vec::new();
         slots.resize_with(n_trees, || None);
         let threads = threads.min(n_trees);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (worker, chunk) in slots.chunks_mut(n_trees.div_ceil(threads)).enumerate() {
                 let base = worker * n_trees.div_ceil(threads);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (offset, slot) in chunk.iter_mut().enumerate() {
                         *slot = Some(fit_one(base + offset));
                     }
                 });
             }
-        })
-        .expect("tree-training worker panicked");
+        });
         slots
             .into_iter()
             .map(|slot| slot.expect("all slots filled"))

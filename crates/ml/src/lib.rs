@@ -8,8 +8,8 @@
 //!   per-node random feature subsets (√d by default), midpoint
 //!   thresholds, depth/size stopping rules.
 //! * [`forest`] — bootstrap-aggregated ensembles of those trees with
-//!   majority voting and vote-fraction probabilities. Training is
-//!   parallelised across trees with `crossbeam` scoped threads while
+//!   majority voting and vote-fraction probabilities. Training can be
+//!   parallelised across trees with [`std::thread::scope`] while
 //!   remaining bit-for-bit deterministic for a given seed.
 //! * [`compiled`] — flat-arena compilation of whole *banks* of binary
 //!   forests: packed 16-byte branch nodes, leaves folded into tagged

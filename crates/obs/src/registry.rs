@@ -49,9 +49,9 @@ pub enum Counter {
     QueriesAnswered = 5,
     /// Malformed frames and I/O errors observed on connections.
     ProtocolErrors = 6,
-    /// Connection handlers torn down by a panic (service code, or a
-    /// compute-pool task panic re-raised on the connection thread). The
-    /// connection dies; the I/O worker and the server keep serving.
+    /// Connection handlers torn down by a panic (service code computing
+    /// a query batch on the connection thread). The connection dies;
+    /// its worker thread and the server keep serving.
     WorkerPanics = 7,
     /// Successful hot reloads (epoch advances).
     Reloads = 8,
@@ -79,22 +79,26 @@ pub enum Counter {
     ClientRequestsSent = 16,
     /// Client-side: response frames received.
     ClientResponsesReceived = 17,
-    /// Compute-pool tasks submitted (`for_each` indices plus `run`
-    /// hand-offs). Lives in the pool, overlaid into snapshots by the
-    /// server; the pool outlives reloads, so this never resets.
+    /// Compute-pool tasks submitted (`for_each` indices of batches over
+    /// 64 fingerprints plus one `run` per admin reload). Lives in the
+    /// pool, overlaid into snapshots by the server; the pool outlives
+    /// reloads, so this never resets.
     PoolTasksSubmitted = 18,
     /// Compute-pool tasks that finished executing (panicked tasks
     /// included, so this reconciles exactly with
     /// [`Counter::PoolTasksSubmitted`] when the pool is quiescent).
     PoolTasksExecuted = 19,
-    /// Retired, always 0 — the pool has one queue; the id stays so
-    /// the dense wire catalog is not renumbered.
+    /// Retired, always 0 — the pool does not steal work; the id stays
+    /// so the dense wire catalog is not renumbered.
     PoolSteals = 20,
-    /// Tickets pushed onto the pool's queue.
+    /// Retired, always 0 — the pool has no queue; the id stays so the
+    /// dense wire catalog is not renumbered.
     PoolInjectorPushes = 21,
-    /// Times a pool worker parked with no work queued.
+    /// Retired, always 0 — the pool has no workers to park; the id
+    /// stays so the dense wire catalog is not renumbered.
     PoolParks = 22,
-    /// Times a parked pool worker was woken.
+    /// Retired, always 0 — the pool has no workers to wake; the id
+    /// stays so the dense wire catalog is not renumbered.
     PoolUnparks = 23,
     /// Fingerprints shed by admission control instead of computed (a
     /// shed batch of 8 counts 8 here and 1 in

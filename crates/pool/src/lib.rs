@@ -1,77 +1,37 @@
-//! Persistent compute pool for the IoT SENTINEL service.
+//! Fork-join fan-out for the IoT SENTINEL service.
 //!
-//! Every parallel path in the workspace — batch chunking in
-//! `sentinel-core`, background recompiles behind hot reload — used to
-//! spawn scoped threads per call, and those scopes *nested* when a
-//! server worker fanned a batch out (threads × threads). This crate
-//! replaces all of that with one pool of pinned worker threads created
-//! once and reused for the life of the service:
+//! A [`ComputePool`] owns no threads: it is a fan-out width plus two
+//! counters. Work runs on the thread that asks for it, and only a
+//! fan-out wide enough to use more than one thread starts helpers,
+//! for exactly as long as that one call:
 //!
-//! * **One queue.** Every submission — from an outside thread or from
-//!   a task already running on a worker — pushes its tickets onto one
-//!   shared FIFO injector that idle workers pop from. Tasks here are
-//!   coarse (batch chunks, whole query frames), so one uncontended
-//!   mutex around the queue is noise, and there is exactly one place a
-//!   ticket can be.
-//! * **Fork-join over borrowed data.** [`ComputePool::for_each`] is a
-//!   scoped `join`: the job descriptor lives on the caller's stack,
-//!   workers are handed copyable *tickets* pointing at it, and the call
-//!   does not return until every task ran and every ticket has been
-//!   retired — so closures may freely borrow `&CompiledBank`, scratch
-//!   buffers, or anything else from the caller's frame.
-//! * **No oversubscription or deadlock under nesting.** A task already
-//!   running on a pool worker executes sub-jobs by pushing tickets onto
-//!   the same queue, draining the task cursor itself and then purging
-//!   whatever tickets nobody picked up; it never blocks waiting for
-//!   threads that do not exist and never spawns. Total live compute
-//!   threads are exactly the pool size, forever.
-//! * **Panic containment.** Each task runs under `catch_unwind`; the
-//!   first panic message is captured and surfaced as a typed
-//!   [`TaskPanic`] from the submitting call. Remaining tasks still
-//!   execute, so the executed-equals-submitted counter reconciliation
-//!   holds even on the failure path, and the pool itself is never
-//!   poisoned.
-//! * **Warm calls are zero-allocation and zero-spawn.** Job state is
-//!   stack-allocated, tickets are `Copy`, the queue reuses its grown
-//!   capacity, and `Mutex`/`Condvar` are futex-backed on Linux. The
-//!   [`thread_spawns`] counter (bumped here per worker created, and by
-//!   the `crossbeam` compat shim per scoped spawn) lets tests pin the
-//!   zero-spawn property exactly.
-//!
-//! # Safety
-//!
-//! This crate contains the workspace's only `unsafe` code, confined to
-//! one idea: a [`Ticket`] carries a lifetime-erased pointer to the
-//! stack-allocated [`JobCore`] of a submitting call. The pointer is
-//! guaranteed valid for as long as any ticket exists because the
-//! submitting call never returns before `done == tasks` **and**
-//! `outstanding == 0` — i.e. every queued ticket has been either
-//! consumed by a worker or purged from the queue by the caller, and
-//! every in-flight ticket has been retired. Workers therefore never
-//! observe a dangling job pointer.
+//! * [`ComputePool::run`] runs a closure on the calling thread under
+//!   `catch_unwind` and returns its result, or the panic as a typed
+//!   [`TaskPanic`]. The server uses it to contain a panicking reload.
+//! * [`ComputePool::for_each`] runs `f(0) … f(n - 1)`. When
+//!   `min(threads, n) == 1` it is a plain loop on the caller. Otherwise
+//!   it starts `min(threads, n) - 1` scoped helpers, and the helpers and
+//!   the caller claim task indices from one shared cursor. The call
+//!   joins every helper before it returns, so `f` may borrow anything
+//!   from the caller's stack. A slow thread simply claims fewer indices.
+//! * **Panic containment.** Each task runs under `catch_unwind`. The
+//!   first panic's message comes back as a typed [`TaskPanic`], the
+//!   remaining tasks still run, and `executed == submitted` reconciles
+//!   on the failure path too.
+//! * **Spawn accounting.** Every helper bumps [`thread_spawns`], so
+//!   tests can pin how many threads a region started: zero for a
+//!   one-thread pool or a single-chunk batch, `min(threads, n) - 1` for
+//!   each wider fan-out.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
 
-/// Environment variable overriding the global pool's worker count.
+/// Environment variable overriding the global pool's fan-out width.
 pub const POOL_THREADS_ENV: &str = "SENTINEL_POOL_THREADS";
-
-/// Locks a mutex, recovering the guard if a panicking task poisoned it.
-///
-/// Pool state stays consistent across task panics by construction
-/// (every critical section only moves plain counters and queue entries),
-/// so poisoning carries no information here.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 // ---------------------------------------------------------------------------
 // Spawn accounting
@@ -79,9 +39,9 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 static THREAD_SPAWNS: AtomicU64 = AtomicU64::new(0);
 
-/// Records one OS thread creation. Called by the pool for its own
-/// workers and by the `crossbeam` compat shim for every scoped spawn,
-/// so allocation-style tests can assert warm paths spawn nothing.
+/// Records one OS thread creation. Called by the pool for each helper
+/// and by the `crossbeam` compat shim for every scoped spawn, so
+/// allocation-style tests can assert warm paths spawn nothing.
 pub fn note_thread_spawn() {
     THREAD_SPAWNS.fetch_add(1, Ordering::Relaxed);
 }
@@ -96,10 +56,10 @@ pub fn thread_spawns() -> u64 {
 // Errors
 // ---------------------------------------------------------------------------
 
-/// A task submitted to the pool panicked.
+/// A task run through the pool panicked.
 ///
-/// The panic was contained on the worker (or caller) that ran the task:
-/// sibling tasks in the same job still executed, the pool remains fully
+/// The panic was contained on the thread that ran the task: sibling
+/// tasks in the same call still executed, the pool remains fully
 /// usable, and the first panic's message is carried here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskPanic {
@@ -107,7 +67,14 @@ pub struct TaskPanic {
 }
 
 impl TaskPanic {
-    fn new(message: String) -> Self {
+    fn new(payload: Box<dyn std::any::Any + Send>) -> Self {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "opaque panic payload".to_string()
+        };
         Self { message }
     }
 
@@ -125,18 +92,8 @@ impl std::fmt::Display for TaskPanic {
 
 impl std::error::Error for TaskPanic {}
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Counters
+// Pool
 // ---------------------------------------------------------------------------
 
 /// Monotone event counters for one pool, snapshot via
@@ -148,182 +105,44 @@ pub struct PoolCounters {
     pub submitted: u64,
     /// Tasks that finished executing (panicked tasks included).
     pub executed: u64,
-    /// Tickets pushed onto the pool's queue.
-    pub injector_pushes: u64,
-    /// Times a worker parked because no work was queued.
-    pub parks: u64,
-    /// Times a parked worker was woken.
-    pub unparks: u64,
 }
 
-#[derive(Default)]
-struct CounterCells {
+/// A fan-out width plus task counters. See the crate docs.
+#[derive(Debug)]
+pub struct ComputePool {
+    threads: usize,
     submitted: AtomicU64,
     executed: AtomicU64,
-    injector_pushes: AtomicU64,
-    parks: AtomicU64,
-    unparks: AtomicU64,
-}
-
-// ---------------------------------------------------------------------------
-// Job protocol
-// ---------------------------------------------------------------------------
-
-/// Stack-allocated descriptor for one fork-join submission.
-///
-/// `run` is the caller's closure with its borrow lifetime erased; see
-/// the crate-level safety section for why the erasure is sound. The
-/// `cursor` dispenses task indices to whichever threads hold tickets,
-/// which balances the job at task granularity: a slow worker simply
-/// claims fewer indices.
-struct JobCore {
-    run: &'static (dyn Fn(usize) + Sync),
-    tasks: usize,
-    cursor: AtomicUsize,
-    state: Mutex<JobState>,
-    complete: Condvar,
-}
-
-struct JobState {
-    /// Tasks whose closure invocation has returned (or panicked).
-    done: usize,
-    /// Tickets pushed for this job and not yet consumed, purged, or retired.
-    outstanding: usize,
-    /// First contained panic, if any task panicked.
-    panic: Option<String>,
-}
-
-/// A copyable invitation for one thread to help drain a job's cursor.
-///
-/// Holding a ticket grants shared access to the referenced [`JobCore`];
-/// validity is guaranteed by the submission protocol (the core outlives
-/// all tickets by construction), never by lifetimes.
-#[derive(Clone, Copy)]
-struct Ticket {
-    job: *const JobCore,
-}
-
-// SAFETY: a ticket is a plain pointer plus the protocol invariant that
-// the pointee outlives it (enforced by `execute_job`, which never
-// returns while `outstanding > 0`). `JobCore` itself is Sync: every
-// field is either immutable, atomic, or mutex-guarded, and `run` is a
-// `Sync` closure.
-unsafe impl Send for Ticket {}
-
-// ---------------------------------------------------------------------------
-// Pool
-// ---------------------------------------------------------------------------
-
-struct Sleep {
-    shutdown: bool,
-}
-
-struct Shared {
-    /// Process-unique id so nested submissions can tell whether the
-    /// current thread is a worker of *this* pool.
-    pool_id: usize,
-    threads: usize,
-    injector: Mutex<VecDeque<Ticket>>,
-    /// Queued-ticket count; the parking fast path re-checks it under
-    /// `sleep` so a push can never slip between check and wait.
-    pending: AtomicUsize,
-    sleep: Mutex<Sleep>,
-    wake: Condvar,
-    counters: CounterCells,
-}
-
-thread_local! {
-    /// The owning pool's id when the current thread is a pool worker.
-    static WORKER: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-}
-
-static POOL_IDS: AtomicUsize = AtomicUsize::new(0);
-
-/// A fixed-size pool of pinned worker threads executing fork-join jobs
-/// over borrowed data. See the crate docs for the full design.
-pub struct ComputePool {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for ComputePool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ComputePool")
-            .field("threads", &self.shared.threads)
-            .finish_non_exhaustive()
-    }
 }
 
 impl ComputePool {
-    /// Creates a pool with `threads` pinned workers (clamped to at
-    /// least 1). Workers are created once, here, and live until the
-    /// pool is dropped; no call on the pool ever spawns again.
-    ///
-    /// Returns only once every worker is running: a starting thread
-    /// allocates, and that must not land in a caller's later
-    /// allocation-free window.
+    /// A pool that fans work out over at most `threads` threads, the
+    /// caller included (clamped to at least 1). Starts no thread.
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            pool_id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
-            threads,
-            injector: Mutex::new(VecDeque::new()),
-            pending: AtomicUsize::new(0),
-            sleep: Mutex::new(Sleep { shutdown: false }),
-            wake: Condvar::new(),
-            counters: CounterCells::default(),
-        });
-        let started = Arc::new(std::sync::Barrier::new(threads + 1));
-        let handles = (0..threads)
-            .map(|index| {
-                let shared = Arc::clone(&shared);
-                let started = Arc::clone(&started);
-                note_thread_spawn();
-                std::thread::Builder::new()
-                    .name(format!("sentinel-pool-{index}"))
-                    .spawn(move || {
-                        started.wait();
-                        worker_loop(shared)
-                    })
-                    .expect("spawning pool worker")
-            })
-            .collect();
-        started.wait();
-        Self { shared, handles }
+        Self {
+            threads: threads.max(1),
+            submitted: AtomicU64::new(0),
+            executed: AtomicU64::new(0),
+        }
     }
 
-    /// Number of worker threads (fixed at construction).
+    /// The fan-out width fixed at construction.
     pub fn threads(&self) -> usize {
-        self.shared.threads
+        self.threads
     }
 
     /// Snapshot of the pool's monotone event counters.
     pub fn counters(&self) -> PoolCounters {
-        let c = &self.shared.counters;
         PoolCounters {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            executed: c.executed.load(Ordering::Relaxed),
-            injector_pushes: c.injector_pushes.load(Ordering::Relaxed),
-            parks: c.parks.load(Ordering::Relaxed),
-            unparks: c.unparks.load(Ordering::Relaxed),
+            submitted: self.submitted.load(Ordering::Relaxed),
+            executed: self.executed.load(Ordering::Relaxed),
         }
     }
 
-    /// Whether the current thread is one of this pool's workers.
-    pub fn on_worker(&self) -> bool {
-        WORKER.get() == Some(self.shared.pool_id)
-    }
-
-    /// Runs `f(0), f(1), …, f(tasks - 1)` across the pool and returns
-    /// once all of them finished. The caller participates: it claims
-    /// task indices alongside the workers, so a single-task job (or a
-    /// call from a pool already saturated elsewhere) degenerates to an
-    /// inline loop with no queue traffic beyond the initial tickets.
-    ///
-    /// Nested use is the designed case: when called from a task already
-    /// running on one of this pool's workers, helper tickets go onto
-    /// the same queue for idle siblings to pick up — never a new
-    /// thread — so fan-out depth never multiplies thread count.
+    /// Runs `f(0), f(1), …, f(tasks - 1)` and returns once all of them
+    /// finished, on the caller plus `min(threads, tasks) - 1` scoped
+    /// helpers that are joined before the return. If a helper cannot
+    /// be started, the threads already running drain the rest.
     ///
     /// Any task panic is contained and reported as [`TaskPanic`];
     /// sibling tasks still run.
@@ -331,266 +150,51 @@ impl ComputePool {
     where
         F: Fn(usize) + Sync,
     {
-        let run: &(dyn Fn(usize) + Sync) = &f;
-        // SAFETY: erases the borrow lifetime of `run` for storage in the
-        // JobCore. `execute_job` does not return until no ticket (and so
-        // no worker) can reach the job any more, and `f` lives on this
-        // frame until after that return.
-        let run: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(run) };
-        self.execute_job(tasks, run, true)
+        self.submitted.fetch_add(tasks as u64, Ordering::Relaxed);
+        let cursor = AtomicUsize::new(0);
+        let first_panic = OnceLock::new();
+        let drain = || loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= tasks {
+                break;
+            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| f(index)));
+            self.executed.fetch_add(1, Ordering::Relaxed);
+            if let Err(payload) = outcome {
+                let _ = first_panic.set(TaskPanic::new(payload));
+            }
+        };
+        let helpers = self.threads.min(tasks).saturating_sub(1);
+        if helpers == 0 {
+            drain();
+        } else {
+            std::thread::scope(|scope| {
+                let started: Vec<_> = (0..helpers)
+                    .map_while(|_| std::thread::Builder::new().spawn_scoped(scope, drain).ok())
+                    .inspect(|_| note_thread_spawn())
+                    .collect();
+                drain();
+                // Joined explicitly rather than at the end of the scope,
+                // so each helper's OS thread has exited when this returns.
+                for helper in started {
+                    helper.join().expect("tasks run under catch_unwind");
+                }
+            });
+        }
+        first_panic.into_inner().map_or(Ok(()), Err)
     }
 
-    /// Executes `f` on a pool worker and returns its result, parking
-    /// the calling thread until done. This is the hand-off used by I/O
-    /// threads (serve connections, reload handling) that must not do
-    /// compute themselves. Called from a thread that *is* a worker of
-    /// this pool, it runs inline instead — blocking a worker on its own
-    /// pool would deadlock a size-1 pool.
+    /// Runs `f` on the calling thread and returns its result, or its
+    /// panic as a [`TaskPanic`]: the caller survives a panicking task.
     pub fn run<R, F>(&self, f: F) -> Result<R, TaskPanic>
     where
         F: FnOnce() -> R + Send,
         R: Send,
     {
-        if self.on_worker() {
-            self.shared
-                .counters
-                .submitted
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .counters
-                .executed
-                .fetch_add(1, Ordering::Relaxed);
-            return catch_unwind(AssertUnwindSafe(f))
-                .map_err(|payload| TaskPanic::new(panic_message(payload)));
-        }
-        let func = Mutex::new(Some(f));
-        let result = Mutex::new(None);
-        let call = |_task: usize| {
-            let f = lock(&func).take().expect("run task claimed twice");
-            let value = f();
-            *lock(&result) = Some(value);
-        };
-        let run: &(dyn Fn(usize) + Sync) = &call;
-        // SAFETY: same protocol as `for_each` — the job completes before
-        // this frame (holding `func`/`result`/`call`) unwinds.
-        let run: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(run) };
-        self.execute_job(1, run, false)?;
-        let value = lock(&result)
-            .take()
-            .expect("run task completed without result");
-        Ok(value)
-    }
-
-    /// Core submission protocol. With `participate` the caller drains
-    /// the cursor itself and then purges its leftover tickets; without
-    /// it (the `run` hand-off) exactly the queued tickets execute the
-    /// work. Either way this returns only once `done == tasks` and
-    /// `outstanding == 0`, which is the invariant the `unsafe` lifetime
-    /// erasure rests on.
-    fn execute_job(
-        &self,
-        tasks: usize,
-        run: &'static (dyn Fn(usize) + Sync),
-        participate: bool,
-    ) -> Result<(), TaskPanic> {
-        let shared = &*self.shared;
-        if tasks == 0 {
-            return Ok(());
-        }
-        shared
-            .counters
-            .submitted
-            .fetch_add(tasks as u64, Ordering::Relaxed);
-        if participate && tasks == 1 {
-            // Pure inline fast path: no tickets, no wakeups, no waiting.
-            let job = JobCore {
-                run,
-                tasks: 1,
-                cursor: AtomicUsize::new(1),
-                state: Mutex::new(JobState {
-                    done: 0,
-                    outstanding: 0,
-                    panic: None,
-                }),
-                complete: Condvar::new(),
-            };
-            execute_task(shared, &job, 0);
-            let mut state = lock(&job.state);
-            return match state.panic.take() {
-                Some(message) => Err(TaskPanic::new(message)),
-                None => Ok(()),
-            };
-        }
-
-        let job = JobCore {
-            run,
-            tasks,
-            cursor: AtomicUsize::new(0),
-            state: Mutex::new(JobState {
-                done: 0,
-                outstanding: 0,
-                panic: None,
-            }),
-            complete: Condvar::new(),
-        };
-        let tickets = if participate {
-            shared.threads.min(tasks - 1)
-        } else {
-            shared.threads.min(tasks)
-        };
-        lock(&job.state).outstanding = tickets;
-        self.push_tickets(Ticket { job: &job }, tickets);
-
-        if participate {
-            loop {
-                let index = job.cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= tasks {
-                    break;
-                }
-                execute_task(shared, &job, index);
-            }
-            // Every task index is claimed; tickets still sitting in the
-            // queue are pure bookkeeping now. Remove them ourselves so
-            // completion never waits on a parked or busy worker.
-            self.purge_tickets(&job);
-        }
-
-        let mut state = lock(&job.state);
-        while state.done < tasks || state.outstanding > 0 {
-            state = job
-                .complete
-                .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        match state.panic.take() {
-            Some(message) => Err(TaskPanic::new(message)),
-            None => Ok(()),
-        }
-    }
-
-    fn push_tickets(&self, ticket: Ticket, count: usize) {
-        if count == 0 {
-            return;
-        }
-        let shared = &*self.shared;
-        // `pending` rises before the tickets become visible so a worker
-        // that races past an empty queue still refuses to park.
-        shared.pending.fetch_add(count, Ordering::SeqCst);
-        shared
-            .counters
-            .injector_pushes
-            .fetch_add(count as u64, Ordering::Relaxed);
-        {
-            let mut injector = lock(&shared.injector);
-            for _ in 0..count {
-                injector.push_back(ticket);
-            }
-        }
-        let _guard = lock(&shared.sleep);
-        shared.wake.notify_all();
-    }
-
-    /// Removes every queued ticket for `job` (identified by pointer)
-    /// from the queue. Only sound once the job's cursor is exhausted —
-    /// a purged ticket must represent no remaining work.
-    fn purge_tickets(&self, job: &JobCore) {
-        let shared = &*self.shared;
-        let target: *const JobCore = job;
-        let removed = {
-            let mut injector = lock(&shared.injector);
-            let before = injector.len();
-            injector.retain(|ticket| !std::ptr::eq(ticket.job, target));
-            before - injector.len()
-        };
-        if removed > 0 {
-            shared.pending.fetch_sub(removed, Ordering::SeqCst);
-            let mut state = lock(&job.state);
-            state.outstanding -= removed;
-            if state.outstanding == 0 {
-                job.complete.notify_all();
-            }
-        }
-    }
-}
-
-impl Drop for ComputePool {
-    fn drop(&mut self) {
-        {
-            let mut sleep = lock(&self.shared.sleep);
-            sleep.shutdown = true;
-        }
-        self.shared.wake.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Runs one task index under panic containment and records completion.
-fn execute_task(shared: &Shared, job: &JobCore, index: usize) {
-    let outcome = catch_unwind(AssertUnwindSafe(|| (job.run)(index)));
-    shared.counters.executed.fetch_add(1, Ordering::Relaxed);
-    let mut state = lock(&job.state);
-    if let Err(payload) = outcome {
-        if state.panic.is_none() {
-            state.panic = Some(panic_message(payload));
-        }
-    }
-    state.done += 1;
-    if state.done == job.tasks {
-        job.complete.notify_all();
-    }
-}
-
-/// Drains the job behind `ticket` until its cursor is exhausted, then
-/// retires the ticket.
-fn work_ticket(shared: &Shared, ticket: Ticket) {
-    // SAFETY: the submission protocol keeps the JobCore alive while any
-    // ticket for it exists (see crate docs).
-    let job = unsafe { &*ticket.job };
-    loop {
-        let index = job.cursor.fetch_add(1, Ordering::Relaxed);
-        if index >= job.tasks {
-            break;
-        }
-        execute_task(shared, job, index);
-    }
-    let mut state = lock(&job.state);
-    state.outstanding -= 1;
-    if state.outstanding == 0 {
-        job.complete.notify_all();
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>) {
-    WORKER.set(Some(shared.pool_id));
-    loop {
-        // Popped in its own statement: the queue lock is released
-        // before the ticket is worked.
-        let next = lock(&shared.injector).pop_front();
-        if let Some(ticket) = next {
-            shared.pending.fetch_sub(1, Ordering::SeqCst);
-            work_ticket(&shared, ticket);
-            continue;
-        }
-        let mut sleep = lock(&shared.sleep);
-        if sleep.shutdown {
-            return;
-        }
-        if shared.pending.load(Ordering::SeqCst) > 0 {
-            // A push slipped in after our queue check; retry instead of
-            // parking past live work.
-            continue;
-        }
-        shared.counters.parks.fetch_add(1, Ordering::Relaxed);
-        sleep = shared
-            .wake
-            .wait(sleep)
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        shared.counters.unparks.fetch_add(1, Ordering::Relaxed);
-        if sleep.shutdown {
-            return;
-        }
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+        let outcome = catch_unwind(AssertUnwindSafe(f));
+        self.executed.fetch_add(1, Ordering::Relaxed);
+        outcome.map_err(TaskPanic::new)
     }
 }
 
@@ -598,7 +202,7 @@ fn worker_loop(shared: Arc<Shared>) {
 // Global pool
 // ---------------------------------------------------------------------------
 
-/// Worker count for the global pool: `SENTINEL_POOL_THREADS` when set
+/// Fan-out width for the global pool: `SENTINEL_POOL_THREADS` when set
 /// to a positive integer, otherwise the machine's available
 /// parallelism.
 pub fn default_threads() -> usize {
@@ -617,9 +221,8 @@ pub fn default_threads() -> usize {
 static GLOBAL: OnceLock<Arc<ComputePool>> = OnceLock::new();
 
 /// The process-wide pool, created on first use and sized by
-/// [`default_threads`]. Service cells default to sharing it so a
-/// process hosting several services still runs one set of compute
-/// threads.
+/// [`default_threads`]. Service cells default to sharing it, so one
+/// width and one set of counters cover every cell in a process.
 pub fn global() -> &'static Arc<ComputePool> {
     GLOBAL.get_or_init(|| Arc::new(ComputePool::new(default_threads())))
 }
@@ -628,9 +231,21 @@ pub fn global() -> &'static Arc<ComputePool> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::{Barrier, Mutex, MutexGuard};
+
+    /// The spawn ledger is process-global and helpers are real threads,
+    /// so every test here holds this lock for its whole body.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        SERIAL
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn for_each_runs_every_task_exactly_once() {
+        let _serial = serial();
         let pool = ComputePool::new(4);
         let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
         pool.for_each(hits.len(), |i| {
@@ -642,41 +257,99 @@ mod tests {
 
     #[test]
     fn zero_tasks_is_a_no_op() {
+        let _serial = serial();
         let pool = ComputePool::new(2);
         pool.for_each(0, |_| panic!("must not run")).unwrap();
     }
 
     #[test]
-    fn single_task_runs_inline_on_the_caller() {
+    fn new_starts_no_thread() {
+        let _serial = serial();
+        let before = thread_spawns();
         let pool = ComputePool::new(4);
+        assert_eq!(thread_spawns(), before, "a pool owns no threads");
+        assert_eq!(pool.threads(), 4);
+    }
+
+    #[test]
+    fn single_task_runs_inline_on_the_caller() {
+        let _serial = serial();
+        let pool = ComputePool::new(4);
+        let before = thread_spawns();
         let caller = std::thread::current().id();
         let ran_on = Mutex::new(None);
         pool.for_each(1, |_| {
-            *lock(&ran_on) = Some(std::thread::current().id());
+            *ran_on.lock().unwrap() = Some(std::thread::current().id());
         })
         .unwrap();
-        assert_eq!(lock(&ran_on).take(), Some(caller));
-        // And it never touched the queues.
-        assert_eq!(pool.counters().injector_pushes, 0);
+        assert_eq!(ran_on.into_inner().unwrap(), Some(caller));
+        assert_eq!(thread_spawns(), before, "one task needs no helper");
+    }
+
+    #[test]
+    fn wide_fan_out_spawns_threads_minus_one_helpers_and_joins_them() {
+        let _serial = serial();
+        let pool = ComputePool::new(3);
+        let before = thread_spawns();
+        // The first three tasks meet at a barrier, so they run on three
+        // distinct threads: the caller and both helpers.
+        let barrier = Barrier::new(3);
+        let ran_on = Mutex::new(Vec::new());
+        pool.for_each(200, |i| {
+            if i < 3 {
+                barrier.wait();
+                let tid = std::fs::read_link("/proc/thread-self").ok();
+                ran_on
+                    .lock()
+                    .unwrap()
+                    .push((std::thread::current().id(), tid));
+            }
+        })
+        .unwrap();
+        assert_eq!(thread_spawns() - before, 2, "caller plus two helpers");
+        let caller = std::thread::current().id();
+        let helpers: Vec<_> = ran_on
+            .into_inner()
+            .unwrap()
+            .into_iter()
+            .filter(|(id, _)| *id != caller)
+            .collect();
+        assert_eq!(helpers.len(), 2);
+        // `/proc/thread-self` is `<pid>/task/<tid>`: a joined helper's
+        // entry is gone (a few µs of kernel teardown aside).
+        for (_, tid) in helpers {
+            let Some(tid) = tid else { continue };
+            let task = std::path::Path::new("/proc").join(tid);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+            while task.exists() && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            assert!(!task.exists(), "{} outlived for_each", task.display());
+        }
     }
 
     #[test]
     fn size_one_pool_matches_sequential_results_bit_identically() {
+        let _serial = serial();
         let pool = ComputePool::new(1);
         let pooled: Vec<Mutex<u64>> = (0..64).map(|_| Mutex::new(0)).collect();
         pool.for_each(64, |i| {
-            *lock(&pooled[i]) = (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
+            *pooled[i].lock().unwrap() = (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
         })
         .unwrap();
         let sequential: Vec<u64> = (0..64u64)
             .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15))
             .collect();
-        let pooled: Vec<u64> = pooled.iter().map(|c| *lock(c)).collect();
+        let pooled: Vec<u64> = pooled
+            .into_iter()
+            .map(|c| c.into_inner().unwrap())
+            .collect();
         assert_eq!(pooled, sequential);
     }
 
     #[test]
     fn borrowed_caller_data_is_visible_to_tasks() {
+        let _serial = serial();
         let pool = ComputePool::new(3);
         let inputs: Vec<u64> = (0..100).collect();
         let total = AtomicU64::new(0);
@@ -689,6 +362,7 @@ mod tests {
 
     #[test]
     fn panic_is_contained_typed_and_does_not_poison_the_pool() {
+        let _serial = serial();
         let pool = ComputePool::new(2);
         let survivors = AtomicUsize::new(0);
         let err = pool
@@ -712,16 +386,20 @@ mod tests {
     }
 
     #[test]
-    fn run_executes_remotely_for_external_callers() {
+    fn run_executes_on_the_calling_thread() {
+        let _serial = serial();
         let pool = ComputePool::new(2);
+        let before = thread_spawns();
         let caller = std::thread::current().id();
-        let (value, worker) = pool.run(|| (21 * 2, std::thread::current().id())).unwrap();
+        let (value, ran_on) = pool.run(|| (21 * 2, std::thread::current().id())).unwrap();
         assert_eq!(value, 42);
-        assert_ne!(worker, caller, "run must hand off to a pool worker");
+        assert_eq!(ran_on, caller, "run computes where it is called");
+        assert_eq!(thread_spawns(), before);
     }
 
     #[test]
     fn run_panic_is_typed() {
+        let _serial = serial();
         let pool = ComputePool::new(1);
         let err = pool.run(|| -> u32 { panic!("boom in run") }).unwrap_err();
         assert_eq!(err.message(), "boom in run");
@@ -729,9 +407,9 @@ mod tests {
     }
 
     #[test]
-    fn nested_for_each_reuses_the_same_workers() {
+    fn nested_for_each_makes_progress() {
+        let _serial = serial();
         let pool = ComputePool::new(3);
-        let before = thread_spawns();
         let total = AtomicU64::new(0);
         pool.for_each(6, |outer| {
             pool.for_each(5, |inner| {
@@ -744,13 +422,12 @@ mod tests {
             .flat_map(|o| (0..5u64).map(move |i| o * 10 + i))
             .sum();
         assert_eq!(total.load(Ordering::SeqCst), expected);
-        assert_eq!(thread_spawns() - before, 0, "nesting must never spawn");
     }
 
     #[test]
     fn deeply_nested_size_one_pool_makes_progress() {
-        // The degenerate configuration that deadlocks naive designs:
-        // one worker, external caller, three levels of nesting.
+        let _serial = serial();
+        // One thread, three levels of nesting: everything runs inline.
         let pool = ComputePool::new(1);
         let total = AtomicUsize::new(0);
         pool.for_each(3, |_| {
@@ -768,17 +445,12 @@ mod tests {
 
     #[test]
     fn run_then_nested_for_each_on_pools_of_one_and_two() {
-        // The shape a > 64-fingerprint frame takes through the server:
-        // an I/O thread hands off with `run`, and the worker that picks
-        // it up fans out with `for_each` on the same pool.
+        let _serial = serial();
         for threads in [1, 2] {
             let pool = ComputePool::new(threads);
             let hits: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
             pool.run(|| {
                 pool.for_each(hits.len(), |i| {
-                    // Only the pool's own pinned workers ever run a
-                    // task: nothing was spawned to help.
-                    assert!(pool.on_worker());
                     hits[i].fetch_add(1, Ordering::SeqCst);
                 })
             })
@@ -793,6 +465,7 @@ mod tests {
 
     #[test]
     fn executed_reconciles_with_submitted_even_after_panics() {
+        let _serial = serial();
         let pool = ComputePool::new(2);
         let _ = pool.for_each(10, |i| {
             if i % 2 == 0 {
@@ -807,22 +480,8 @@ mod tests {
     }
 
     #[test]
-    fn drop_joins_all_workers() {
-        // Each worker owns exactly one `Arc<Shared>` for its whole life
-        // (moved into `worker_loop`, dropped when it returns), so the
-        // strong count is a live-worker counter of *this* pool — unlike
-        // the process-wide `Threads:` line, which sibling tests running
-        // in parallel move.
-        let pool = ComputePool::new(4);
-        let shared = Arc::clone(&pool.shared);
-        pool.for_each(8, |_| {}).unwrap();
-        assert_eq!(Arc::strong_count(&shared), 2 + 4, "pool + probe + workers");
-        drop(pool);
-        assert_eq!(Arc::strong_count(&shared), 1, "drop must join every worker");
-    }
-
-    #[test]
     fn global_pool_is_shared_and_env_sized() {
+        let _serial = serial();
         let a = Arc::as_ptr(global());
         let b = Arc::as_ptr(global());
         assert_eq!(a, b);
@@ -831,6 +490,7 @@ mod tests {
 
     #[test]
     fn parallelism_is_bounded_by_pool_size() {
+        let _serial = serial();
         let pool = ComputePool::new(2);
         let live = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
@@ -841,7 +501,7 @@ mod tests {
             live.fetch_sub(1, Ordering::SeqCst);
         })
         .unwrap();
-        // Workers plus the participating caller.
-        assert!(peak.load(Ordering::SeqCst) <= pool.threads() + 1);
+        // The caller counts as one of the pool's threads.
+        assert!(peak.load(Ordering::SeqCst) <= pool.threads());
     }
 }

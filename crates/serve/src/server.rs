@@ -4,16 +4,17 @@
 //! Architecture: one accept thread owns the [`TcpListener`], blocks in
 //! `accept` (a connection is handed off the moment it arrives) and
 //! feeds accepted connections into a **bounded** channel drained by a
-//! fixed pool of worker threads (built on the `crossbeam` scoped-thread
-//! shim, so the workers borrow the shared [`ServiceCell`] instead of
-//! cloning it); connection bursts beyond pool + backlog are refused at
+//! fixed set of worker threads (scoped with [`std::thread::scope`], so
+//! the workers borrow the shared [`ServiceCell`] instead of cloning
+//! it); connection bursts beyond workers + backlog are refused at
 //! accept time rather than parked on an unbounded queue. Each worker
-//! serves one connection at a time and does **I/O only**: frames in,
-//! then the decoded batch is handed to the cell's persistent
-//! [`sentinel_pool::ComputePool`] — every connection's compute shares
-//! one fixed worker set sized once per cell, so concurrent batches
-//! cannot oversubscribe the machine and the warm path never spawns a
-//! thread. Shutdown is graceful — a flag and one throw-away connection
+//! serves one connection at a time and computes every frame it reads
+//! on its own thread: decode, identify, encode, send. A query costs no
+//! thread hand-off, and the warm path never spawns a thread; only a
+//! batch of more than [`sentinel_core::BATCH_CHUNK`] fingerprints fans
+//! its chunks out over the cell's [`sentinel_pool::ComputePool`].
+//! [`ServerConfig::max_inflight`] caps how many connections compute at
+//! once. Shutdown is graceful — a flag and one throw-away connection
 //! wake `accept`, workers finish their in-flight frame and notice the
 //! flag at their next idle check, and [`ServerHandle::shutdown`] joins
 //! everything before returning the final stats.
@@ -86,15 +87,15 @@ use crate::wire::{
     ResponseItem, WireError, HEADER_LEN,
 };
 
-/// Test-only fault injection: called with every decoded query request
-/// inside the compute-pool task that handles it, so tests and the
-/// chaos harness can make a handler panic (or stall) deterministically.
-/// See [`ServerConfig::fault_injection`].
+/// Test-only fault injection: called with every admitted query request
+/// on the connection thread, just before the batch is computed, so
+/// tests and the chaos harness can make a handler panic (or stall)
+/// deterministically. See [`ServerConfig::fault_injection`].
 pub type FaultInjection = Arc<dyn Fn(&QueryRequest) + Send + Sync>;
 
 /// Test-only reload fault injection: called with every admitted admin
-/// reload payload inside the compute-pool task that validates it, so
-/// tests can panic mid-reload and exercise the rollback path. See
+/// reload payload inside the panic-contained call that validates it,
+/// so tests can panic mid-reload and exercise the rollback path. See
 /// [`ServerConfig::reload_fault_injection`].
 pub type ReloadFaultInjection = Arc<dyn Fn(&[u8]) + Send + Sync>;
 
@@ -102,7 +103,7 @@ pub type ReloadFaultInjection = Arc<dyn Fn(&[u8]) + Send + Sync>;
 /// reloads back-to-back, refilling at `refill_per_sec` tokens per
 /// second. Reloads recompile the whole classifier bank — the heaviest
 /// request the server takes — so an admin peer stuck in a retry loop
-/// (or a hostile one) must not be able to monopolise the compute pool.
+/// (or a hostile one) must not be able to keep the server rebuilding.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReloadRate {
     /// Maximum reload frames admitted back-to-back from a full bucket.
@@ -123,10 +124,12 @@ const ERROR_PAUSE: Duration = Duration::from_millis(100);
 /// Tunables for [`serve`].
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Worker threads (= concurrently served connections), with a
+    /// Connection threads (= concurrently served connections), with a
     /// hand-off backlog of `workers * 4` accepted connections behind
     /// them; a burst beyond both is closed at accept time and counted
-    /// in [`ServerStats::connections_refused`]. Default 4.
+    /// in [`ServerStats::connections_refused`]. Each thread also
+    /// computes the frames its connection sends, so this bounds
+    /// concurrent compute too. Default 4.
     pub workers: usize,
     /// Maximum accepted payload length per frame. Frames announcing
     /// more are refused before any allocation. Default 1 MiB.
@@ -154,12 +157,11 @@ pub struct ServerConfig {
     /// 64 MiB.
     pub max_reload_bytes: u32,
     /// Server-wide in-flight work budget: at most this many decoded
-    /// query batches may be handed to the compute pool at once. A
-    /// batch that cannot take a permit within
+    /// query batches are computed at once, across all connection
+    /// threads. A batch that cannot take a permit within
     /// [`ServerConfig::queue_deadline`] is shed with a retryable
-    /// [`ErrorCode::Overloaded`] answer instead of queueing unboundedly
-    /// behind a saturated pool. `0` (the default) disables admission
-    /// control.
+    /// [`ErrorCode::Overloaded`] answer instead of waiting behind a
+    /// saturated server. `0` (the default) disables admission control.
     pub max_inflight: usize,
     /// How long a decoded batch may wait for an in-flight permit
     /// before it is shed. By the time the budget has been full this
@@ -173,14 +175,14 @@ pub struct ServerConfig {
     /// with a retryable [`ErrorCode::Overloaded`] error and counted in
     /// [`Counter::ReloadsRateLimited`].
     pub reload_rate: Option<ReloadRate>,
-    /// Test-only hook: invoked with every decoded query request inside
-    /// the compute-pool task before it is handled. Lets tests inject a
+    /// Test-only hook: invoked with every admitted query request on
+    /// the connection thread before it is handled. Lets tests inject a
     /// panic into the serving path; leave `None` (the default) in
     /// production.
     #[doc(hidden)]
     pub fault_injection: Option<FaultInjection>,
     /// Test-only hook: invoked with every admitted reload payload
-    /// inside the compute-pool task before validation. Lets tests
+    /// inside the panic-contained call, before validation. Lets tests
     /// panic mid-reload to exercise rollback; leave `None` (the
     /// default) in production.
     #[doc(hidden)]
@@ -232,7 +234,7 @@ impl Default for ServerConfig {
 }
 
 /// Admission control over decoded batches: a fixed budget of in-flight
-/// permits guarding the connection-worker → compute-pool hand-off.
+/// permits guarding the compute each connection thread starts.
 /// Waiters block on a condvar until a permit frees or their queue
 /// deadline passes — work that would go stale in the queue is shed at
 /// the gate (with a retryable [`ErrorCode::Overloaded`] answer)
@@ -283,8 +285,8 @@ impl InflightGate {
 }
 
 /// RAII in-flight permit: releases its budget slot (and wakes one
-/// waiter) on drop, including a panic unwinding out of the pool
-/// hand-off — a panicking batch must not leak capacity.
+/// waiter) on drop, including a panic unwinding out of the compute —
+/// a panicking batch must not leak capacity.
 struct InflightPermit<'a> {
     gate: Option<&'a InflightGate>,
 }
@@ -339,7 +341,7 @@ impl ReloadBucket {
 pub struct ServerStats {
     /// Connections accepted since the server started.
     pub connections_accepted: u64,
-    /// Connections refused because the worker pool and its bounded
+    /// Connections refused because the connection workers and their bounded
     /// hand-off backlog were both saturated.
     pub connections_refused: u64,
     /// Connections currently being served.
@@ -560,7 +562,7 @@ fn run(
     registry: Arc<MetricsRegistry>,
 ) {
     let workers = config.workers.max(1);
-    // Bounded hand-off: a connection burst beyond what the pool can
+    // Bounded hand-off: a connection burst beyond what the workers can
     // absorb is refused at accept time (the socket is closed) instead
     // of parking unbounded fds in a queue nobody may ever drain.
     let (sender, receiver): (SyncSender<TcpStream>, Receiver<TcpStream>) =
@@ -573,7 +575,7 @@ fn run(
     // Scoped threads: workers borrow the cell, the flag and the
     // stats for the lifetime of the scope, which ends only after the
     // accept loop broke and every worker drained out.
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for shard in 0..workers {
             let receiver = &receiver;
             let cell = &cell;
@@ -582,7 +584,7 @@ fn run(
             let registry = &registry;
             let gate = &gate;
             let reload_bucket = &reload_bucket;
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 // Take the next connection; holding the lock only for
                 // the recv keeps hand-off cheap.
                 let next = {
@@ -618,7 +620,7 @@ fn run(
                         registry.incr(Counter::ConnectionsAccepted);
                     }
                     Err(mpsc::TrySendError::Full(stream)) => {
-                        // Pool saturated and backlog full: refuse
+                        // Workers busy and backlog full: refuse
                         // by closing instead of parking the fd.
                         registry.incr(Counter::ConnectionsRefused);
                         drop(stream);
@@ -634,8 +636,7 @@ fn run(
         // once instead of parking in a backlog nobody will accept from.
         drop(listener);
         drop(sender);
-    })
-    .expect("server scope failed");
+    });
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -654,7 +655,7 @@ fn handle_connection(
     let _active = GaugeGuard::increment(registry);
     // A panic inside service code must cost one connection, not the
     // whole server: without this catch it would unwind through the
-    // crossbeam scope and tear down every worker. Frame and error
+    // thread scope and tear down every worker. Frame and error
     // counters are recorded live inside serve_connection, so whatever
     // the connection did before the panic is already counted.
     if std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -772,7 +773,7 @@ fn serve_connection(
                     }
                     // Rate limit admitted admin frames: a reload
                     // recompiles the whole bank, so a peer stuck in a
-                    // retry loop must not monopolise the compute pool.
+                    // retry loop must not keep the server rebuilding.
                     // Refused frames get the retryable Overloaded code
                     // — the connection stays usable.
                     if let Some(bucket) = reload_bucket {
@@ -798,11 +799,8 @@ fn serve_connection(
                             continue;
                         }
                     }
-                    // A reload recompiles the whole bank — by far the
-                    // heaviest request the server takes. Run it on the
-                    // compute pool so the rebuild rides the same fixed
-                    // worker set as queries instead of monopolising a
-                    // connection thread's core arbitration.
+                    // `run` contains a panic on this thread, so a
+                    // failed rebuild costs an answer, not the connection.
                     let reload_outcome = cell
                         .pool()
                         .run(|| {
@@ -908,11 +906,11 @@ fn serve_connection(
                     break;
                 }
                 // Admission control: the decoded batch must take an
-                // in-flight permit before it may touch the compute
-                // pool. When the budget stays full past the queue
-                // deadline the batch is shed with a retryable typed
-                // error — computing it late would waste the pool on an
-                // answer the client has already given up on.
+                // in-flight permit before it is computed. When the
+                // budget stays full past the queue deadline the batch
+                // is shed with a retryable typed error — computing it
+                // late would waste CPU on an answer the client has
+                // already given up on.
                 let deadline = Instant::now() + config.queue_deadline;
                 let Some(permit) = gate.acquire(deadline) else {
                     registry.incr(Counter::OverloadRejections);
@@ -935,32 +933,17 @@ fn serve_connection(
                     }
                     continue;
                 };
-                // Hand the decoded batch to the cell's compute pool:
-                // connection threads stay I/O-only, and concurrent
-                // connections share the pool's fixed worker set
-                // instead of each sizing itself to all cores and
-                // oversubscribing. The whole batch —
-                // identification and name resolution — runs against
-                // the one pinned epoch. The fault hook runs inside the
-                // pool task so an injected panic is a genuine scheduled
-                // task panic, and the permit is held across the compute
-                // (released by RAII even when the task panics).
+                // Compute on this thread, against the one pinned
+                // epoch — identification and name resolution alike. A
+                // panic here (the fault hook's included) unwinds to
+                // `handle_connection` and counts as one worker panic;
+                // the permit is released by RAII on the way out.
                 let service = pinned.service();
-                let pool = cell.pool().as_ref();
                 let scan_start = Instant::now();
-                let responses = pool
-                    .run(|| {
-                        if let Some(hook) = &config.fault_injection {
-                            hook(&request);
-                        }
-                        service.handle_batch_on(pool, &request.fingerprints)
-                    })
-                    .unwrap_or_else(|contained| {
-                        // Preserve pre-pool semantics: a panic in
-                        // service code unwinds out of serve_connection
-                        // and is counted as a worker panic above.
-                        panic!("batch task panicked: {}", contained.message())
-                    });
+                if let Some(hook) = &config.fault_injection {
+                    hook(&request);
+                }
+                let responses = service.handle_batch_on(cell.pool(), &request.fingerprints);
                 let scan_done = Instant::now();
                 drop(permit);
                 let queries = responses.len() as u64;
@@ -1064,9 +1047,6 @@ fn stats_snapshot(
     snapshot.set_counter(Counter::ScanQueries, scan.queries);
     snapshot.set_counter(Counter::PoolTasksSubmitted, pool.submitted);
     snapshot.set_counter(Counter::PoolTasksExecuted, pool.executed);
-    snapshot.set_counter(Counter::PoolInjectorPushes, pool.injector_pushes);
-    snapshot.set_counter(Counter::PoolParks, pool.parks);
-    snapshot.set_counter(Counter::PoolUnparks, pool.unparks);
     snapshot
 }
 

@@ -69,16 +69,14 @@ USAGE:
       Vulnerability assessment and isolation level for a device type
       (demo CVE database).
 
-  sentinel serve --model <FILE> [--addr HOST:PORT] [--workers N] [--compute-threads N]
+  sentinel serve --model <FILE> [--addr HOST:PORT] [--workers N]
                  [--port-file FILE] [--admin]
       Serve the trained model as an IoT Security Service over TCP
       (default 127.0.0.1:7787; port 0 picks an ephemeral port). Prints
       the bound address, optionally writes the port to --port-file,
       and runs until terminated. With --admin, `sentinel reload` can
-      hot-swap the served model. --workers sizes the I/O connection
-      pool; --compute-threads sizes the compute pool all batches and
-      reloads run on (default: the SENTINEL_POOL_THREADS environment
-      variable, else all cores).
+      hot-swap the served model. --workers sets how many connections
+      are served (and computed) at once.
 
   sentinel query --addr HOST:PORT --pcap <FILE> [--ignore-mac <MAC>]
       Identify every device in a pcap against a *running* server —
@@ -98,7 +96,7 @@ USAGE:
       exposition for scraping.
 
   sentinel fleet [--devices N] [--seed S] [--duration-secs T] [--speedup X]
-                 [--connections C] [--setups K] [--compute-threads N]
+                 [--connections C] [--setups K]
                  [--addr HOST:PORT] [--no-reload] [--chaos SEED]
       Simulate a device fleet (enrollment ramp, setup bursts, steady
       re-fingerprinting, standby/wake, churn) and replay it against a
@@ -106,14 +104,13 @@ USAGE:
       a model from the catalog and self-hosts on an ephemeral port,
       firing a hot reload mid-run to measure epoch-propagation lag
       (--no-reload skips it; against an external --addr the reload
-      scenario is off; --compute-threads sizes the self-hosted
-      server's compute pool). Default pacing is uncapped; --speedup X
+      scenario is off). Default pacing is uncapped; --speedup X
       replays the schedule at X times real time instead.
       --chaos SEED runs the fleet as a fault-injection soak against
       the self-hosted server (incompatible with --addr): a seeded,
       bit-reproducible fault plan drives attacker connections
       (mid-frame stalls, truncated frames, hangups) plus scheduled
-      compute-pool panics concurrently with the real load, the server
+      query-batch panics concurrently with the real load, the server
       runs with a finite admission budget and a reload rate limit,
       and the run fails unless every robustness invariant holds
       (server alive, counters reconcile exactly, epoch advanced, zero
@@ -503,9 +500,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let model_path = PathBuf::from(opts.required("model")?);
     let addr = opts.first("addr").unwrap_or("127.0.0.1:7787");
     let workers: usize = opts.number("workers", 4)?;
-    // 0 = the process-wide shared pool (SENTINEL_POOL_THREADS or all
-    // cores); anything else sizes a private compute pool.
-    let compute_threads: usize = opts.number("compute-threads", 0)?;
     let admin = opts.flag("admin");
 
     let file = File::open(&model_path).map_err(|e| format!("opening {model_path:?}: {e}"))?;
@@ -514,7 +508,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let sentinel = SentinelBuilder::new()
         .trained(identifier)
         .demo_vulnerabilities()
-        .compute_threads(compute_threads)
         .build()
         .map_err(|e| format!("assembling service: {e}"))?;
     let config = ServerConfig {
@@ -527,9 +520,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("binding {addr}: {e}"))?;
     let bound = handle.local_addr();
     println!(
-        "serving {} device types on {bound} ({workers} workers, {} compute threads{})",
+        "serving {} device types on {bound} ({workers} workers{})",
         sentinel.service().identifier().type_count(),
-        handle.cell().pool().threads(),
         if admin { ", admin enabled" } else { "" }
     );
     if let Some(port_file) = opts.first("port-file") {
@@ -537,7 +529,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("writing {port_file:?}: {e}"))?;
     }
     // Serve until the process is terminated; the handle keeps the
-    // worker pool alive.
+    // connection workers alive.
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }
@@ -643,8 +635,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     let duration_secs: u64 = opts.number("duration-secs", 120)?;
     let connections: usize = opts.number("connections", 4)?;
     let setups: u32 = opts.number("setups", 3)?;
-    // Compute-pool size for the self-hosted server; 0 = shared pool.
-    let compute_threads: usize = opts.number("compute-threads", 0)?;
     let speedup: Option<f64> = match opts.first("speedup") {
         None => None,
         Some(raw) => Some(
@@ -666,7 +656,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     };
     if chaos_seed.is_some() && opts.first("addr").is_some() {
         return Err(
-            "--chaos needs the self-hosted server (it injects pool-task \
+            "--chaos needs the self-hosted server (it injects query-batch \
                     panics and audits the server's own counters); drop --addr"
                 .into(),
         );
@@ -721,7 +711,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
                 .setups_per_type(setups)
                 .training_seed(seed)
                 .demo_vulnerabilities()
-                .compute_threads(compute_threads)
                 .build()
                 .map_err(|e| format!("training failed: {e}"))?;
             let mut bytes = Vec::new();
@@ -741,7 +730,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
                 // connections, a finite admission budget with a short
                 // queue deadline so overload sheds instead of queueing,
                 // a reload rate limit the one mid-run reload fits
-                // inside, and the plan's scheduled pool-task panics.
+                // inside, and the plan's scheduled query-batch panics.
                 server_config.workers = connections.max(1) + 3;
                 server_config.max_inflight = connections.max(2) / 2;
                 server_config.queue_deadline = Duration::from_millis(25);
@@ -882,7 +871,7 @@ fn audit_chaos(
     );
     println!(
         "chaos: injector ran {} connections / {} frames ({} stalls, {} truncates, {} hangups); \
-         {} scheduled pool panics fired; faults_injected {}",
+         {} scheduled query-batch panics fired; faults_injected {}",
         injected.connections,
         injected.frames_sent,
         injected.stalls,

@@ -74,7 +74,7 @@
 //! | [`devices`] | `sentinel-devices` | the 27 Table-II device behaviour profiles + simulator |
 //! | [`fingerprint`] | `sentinel-fingerprint` | 23 features, F, F′, datasets, k-fold |
 //! | [`ml`] | `sentinel-ml` | Random Forest, metrics |
-//! | [`pool`] | `sentinel-pool` | persistent compute pool behind all parallel paths |
+//! | [`pool`] | `sentinel-pool` | fork-join fan-out of batches over one chunk; panic containment |
 //! | [`editdist`] | `sentinel-editdist` | Damerau-Levenshtein over packet words |
 //! | [`core`] | `sentinel-core` | two-stage identifier, IoTSSP, TypeRegistry, vulnerability DB |
 //! | [`gateway`] | `sentinel-gateway` | SDN switch/controller, rules, overlays, WPS |

@@ -165,7 +165,6 @@ pub struct SentinelBuilder {
     records: Vec<(String, VulnerabilityRecord)>,
     endpoints: Vec<(String, Endpoint)>,
     gateway_id: Option<GatewayId>,
-    compute_threads: Option<usize>,
 }
 
 impl Default for SentinelBuilder {
@@ -189,7 +188,6 @@ impl SentinelBuilder {
             records: Vec::new(),
             endpoints: Vec::new(),
             gateway_id: None,
-            compute_threads: None,
         }
     }
 
@@ -269,20 +267,6 @@ impl SentinelBuilder {
         self
     }
 
-    /// Sizes the compute pool this Sentinel's [`ServiceCell`] owns
-    /// (see [`Sentinel::service_cell`]): the fixed set of pinned
-    /// worker threads that all parallel work — query-batch fan-out,
-    /// server-side batches and admin reloads — runs on. `0` or unset keeps the process-wide shared
-    /// pool ([`sentinel_pool::global`], sized by the
-    /// `SENTINEL_POOL_THREADS` environment variable or the machine's
-    /// available parallelism); any other value gives this Sentinel a
-    /// private pool of exactly that many workers, kept across hot
-    /// reloads.
-    pub fn compute_threads(mut self, threads: usize) -> Self {
-        self.compute_threads = (threads > 0).then_some(threads);
-        self
-    }
-
     /// Enables §III-B incident reporting under the pseudonymous `id`:
     /// policy-violating flows from identified devices surface as
     /// [`SentinelEvent::IncidentRaised`].
@@ -335,12 +319,7 @@ impl SentinelBuilder {
             vulnerabilities.add_vendor_endpoint_named(identifier.registry_mut(), &name, endpoint);
         }
         let service = IoTSecurityService::new(identifier, vulnerabilities);
-        let cell = match self.compute_threads {
-            Some(threads) => {
-                ServiceCell::with_pool(service, Arc::new(sentinel_pool::ComputePool::new(threads)))
-            }
-            None => ServiceCell::new(service),
-        };
+        let cell = ServiceCell::new(service);
         let mut controller = SdnController::new();
         if let Some(id) = self.gateway_id {
             controller.enable_incident_reporting(id);
@@ -605,9 +584,9 @@ impl Sentinel {
     /// a clone to [`sentinel_serve::serve_cell`] to run extra servers
     /// off the same model, or publish through it: a new identifier via
     /// [`ServiceCell::replace_identifier`], several edits in one epoch
-    /// via [`ServiceCell::update`]. The cell owns the compute pool all
-    /// of its parallel work runs on, sized per
-    /// [`SentinelBuilder::compute_threads`] and kept across epochs.
+    /// via [`ServiceCell::update`]. The cell shares the process-wide
+    /// compute pool ([`sentinel_pool::global`]) that batches over one
+    /// chunk fan out on.
     pub fn service_cell(&self) -> &Arc<ServiceCell> {
         &self.cell
     }

@@ -1,7 +1,7 @@
 //! Chaos acceptance over loopback: a seeded fault plan must be
 //! bit-reproducible (pinned digest), and a full soak — attacker
 //! connections injecting stalls/truncations/hangups concurrently with
-//! a fleet replay, scheduled compute-pool panics, and a hot reload
+//! a fleet replay, scheduled query-batch panics, and a hot reload
 //! under fire — must leave a live server whose books reconcile
 //! exactly: every request answered or typed-shed, faults counted to
 //! the unit, zero epoch regressions.

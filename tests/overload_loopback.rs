@@ -72,9 +72,9 @@ fn settle(what: &str, ready: impl Fn() -> bool) {
 }
 
 /// A server whose compute path can be wedged on demand: query requests
-/// with `resolve_names` set spin inside their pool task while `block`
-/// stays raised, holding their in-flight permit — which is exactly the
-/// saturated-pool shape admission control exists for.
+/// with `resolve_names` set spin on their connection thread while
+/// `block` stays raised, holding their in-flight permit — which is
+/// exactly the saturated-server shape admission control exists for.
 fn blockable_config(block: &Arc<AtomicBool>, entered: &Arc<AtomicU64>) -> ServerConfig {
     let block = Arc::clone(block);
     let entered = Arc::clone(entered);
@@ -116,8 +116,8 @@ fn full_budget_sheds_with_typed_retryable_error_and_exact_counters() {
     let addr = handle.local_addr().to_string();
     let registry = Arc::clone(handle.metrics());
 
-    // The blocker takes the single permit and wedges inside its pool
-    // task until released.
+    // The blocker takes the single permit and wedges in its compute
+    // until released.
     let blocker = {
         let addr = addr.clone();
         std::thread::spawn(move || {
@@ -133,7 +133,7 @@ fn full_budget_sheds_with_typed_retryable_error_and_exact_counters() {
             client.query_batch(std::slice::from_ref(&probe))
         })
     };
-    settle("blocker to wedge in its pool task", || {
+    settle("blocker to wedge in its compute", || {
         entered.load(Ordering::SeqCst) >= 1
     });
 
@@ -224,7 +224,7 @@ fn client_backoff_turns_shed_into_success() {
             client.query_batch(std::slice::from_ref(&probe))
         })
     };
-    settle("blocker to wedge in its pool task", || {
+    settle("blocker to wedge in its compute", || {
         entered.load(Ordering::SeqCst) >= 1
     });
 

@@ -1,17 +1,15 @@
 //! Thread accounting for the compute pool.
 //!
-//! The pool redesign's structural claim: all parallel execution (batch
-//! fan-out) runs on **one persistent set of pinned workers** sized when
-//! the [`ServiceCell`] is built, and on nothing else. These tests pin that
-//! with process-level evidence from `/proc/self/status`:
+//! The pool owns no threads: only a batch of more than one chunk starts
+//! helpers, `min(threads, chunks) - 1` of them, and joins them before it
+//! returns. These tests pin that with process-level evidence from
+//! `/proc/self/status` and the workspace spawn ledger:
 //!
-//! * driving batches over a pool-equipped cell never raises the live
-//!   thread count above the baseline measured right after the pool
-//!   came up (no per-batch or per-chunk spawning), and
-//! * hot-reload epoch swaps neither kill nor re-create workers — the
-//!   same pool instance (and the same thread count) survives every
-//!   swap, and dropping the last handle to a private pool joins all
-//!   of its workers.
+//! * building a pool, a cell or a `Sentinel` adds no live thread;
+//! * each multi-chunk batch spawns exactly `min(threads, chunks) - 1`
+//!   helpers, and the live thread count is back at its baseline once
+//!   the batch returns;
+//! * hot-reload epoch swaps keep the same pool instance.
 //!
 //! Thread counts are process-global state, so every test here holds
 //! one serialising lock for its whole body, and the suite lives in its
@@ -22,7 +20,7 @@ use std::sync::{Arc, Mutex};
 
 use iot_sentinel::core::ServiceCell;
 use iot_sentinel::fingerprint::{Dataset, Fingerprint, LabeledFingerprint, PacketFeatures};
-use iot_sentinel::pool::ComputePool;
+use iot_sentinel::pool::{thread_spawns, ComputePool};
 use iot_sentinel::SentinelBuilder;
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -46,6 +44,25 @@ fn live_threads() -> usize {
                 .and_then(|n| n.parse().ok())
         })
         .unwrap_or(0)
+}
+
+/// Asserts the live thread count is back at or below `baseline`. A
+/// joined thread can stay visible for a few microseconds of kernel
+/// teardown, so this polls briefly before failing.
+fn assert_back_at(baseline: usize, what: &str) {
+    if baseline == 0 {
+        return;
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+    let mut now = live_threads();
+    while now > baseline && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+        now = live_threads();
+    }
+    assert!(
+        now <= baseline,
+        "{what}: {now} live threads, baseline {baseline}"
+    );
 }
 
 fn fp_bits(bits: u32, tags: &[u32]) -> Fingerprint {
@@ -98,40 +115,42 @@ fn probes(count: usize) -> Vec<Fingerprint> {
 #[test]
 fn batch_load_never_exceeds_the_configured_pool_size() {
     let _serial = serial();
-    let sentinel = SentinelBuilder::new()
-        .dataset(dataset())
-        .training_seed(4)
-        .compute_threads(3)
-        .build()
-        .unwrap();
-    let cell = Arc::clone(sentinel.service_cell());
-    assert_eq!(cell.pool().threads(), 3, "--compute-threads sizing");
-
-    // Baseline *after* the pool exists: its 3 pinned workers are the
-    // only compute threads this process is ever allowed to hold.
+    let build = || {
+        SentinelBuilder::new()
+            .dataset(dataset())
+            .training_seed(4)
+            .build()
+            .unwrap()
+    };
+    // The test harness starts the next test's thread as the previous
+    // test ends; a first build outlasts that churn, so the baseline
+    // below sees only this test's threads.
+    drop(build());
     let baseline = live_threads();
-    let spawns_before = iot_sentinel::pool::thread_spawns();
+    let spawns_before = thread_spawns();
+    let sentinel = build();
+    let pool = Arc::new(ComputePool::new(3));
+    let cell = ServiceCell::with_pool(sentinel.service().service().clone(), Arc::clone(&pool));
+    assert_back_at(baseline, "building a Sentinel, a pool and a cell");
+    assert_eq!(thread_spawns(), spawns_before, "construction spawned");
+
+    // Four chunks on a three-thread pool: the caller plus two helpers.
     let batch = probes(iot_sentinel::core::BATCH_CHUNK * 3 + 7);
     let service = cell.load();
     let sequential: Vec<_> = batch.iter().map(|fp| service.handle(fp)).collect();
     for round in 0..10 {
+        let spawns_before = thread_spawns();
         let pooled = service.handle_batch_on(cell.pool(), &batch);
         assert_eq!(pooled, sequential, "round {round} diverged");
-        let now = live_threads();
-        if baseline > 0 {
-            assert!(
-                now <= baseline,
-                "round {round}: {now} live threads exceed the post-pool \
-                 baseline of {baseline} — something spawned per batch"
-            );
-        }
+        assert_eq!(
+            thread_spawns() - spawns_before,
+            2,
+            "round {round}: min(threads, chunks) - 1 helpers"
+        );
+        assert_back_at(baseline, &format!("round {round}"));
     }
-    assert_eq!(
-        iot_sentinel::pool::thread_spawns(),
-        spawns_before,
-        "driving warm batches must not spawn a single thread"
-    );
-    let counters = cell.pool().counters();
+    let counters = pool.counters();
+    assert_eq!(counters.submitted, 10 * 4, "one task per chunk");
     assert_eq!(
         counters.submitted, counters.executed,
         "every task handed to the pool must have run"
@@ -144,22 +163,31 @@ fn facade_batches_fan_out_on_the_cells_pool() {
     let sentinel = SentinelBuilder::new()
         .dataset(dataset())
         .training_seed(4)
-        .compute_threads(3)
         .build()
         .unwrap();
     let pool = sentinel.service_cell().pool();
+    assert!(
+        Arc::ptr_eq(pool, iot_sentinel::pool::global()),
+        "facade cells share the global pool"
+    );
     let before = pool.counters().submitted;
+    let spawns_before = thread_spawns();
     let batch = probes(iot_sentinel::core::BATCH_CHUNK * 3 + 7);
     let expected: Vec<_> = batch.iter().map(|fp| sentinel.handle(fp)).collect();
     assert_eq!(sentinel.handle_batch(&batch), expected);
-    assert!(
-        pool.counters().submitted > before,
-        "a multi-chunk facade batch must run on the cell's pool"
+    assert_eq!(
+        pool.counters().submitted - before,
+        4,
+        "a four-chunk facade batch runs its chunks on the cell's pool"
+    );
+    assert_eq!(
+        thread_spawns() - spawns_before,
+        pool.threads().min(4) as u64 - 1
     );
 }
 
 #[test]
-fn epoch_swaps_keep_the_pool_and_drop_joins_its_workers() {
+fn epoch_swaps_keep_the_pool_and_start_no_threads() {
     let _serial = serial();
     let sentinel = SentinelBuilder::new()
         .dataset(dataset())
@@ -167,52 +195,36 @@ fn epoch_swaps_keep_the_pool_and_drop_joins_its_workers() {
         .build()
         .unwrap();
     let service = sentinel.service().service().clone();
-    let before_pool = live_threads();
-    {
-        let pool = Arc::new(ComputePool::new(2));
-        let cell = ServiceCell::with_pool(service, Arc::clone(&pool));
-        let after_pool = live_threads();
-        if before_pool > 0 {
-            assert_eq!(after_pool, before_pool + 2, "pool spun up its workers");
-        }
-        let batch = probes(40);
-        let expected: Vec<_> = {
-            let service = cell.load();
-            batch.iter().map(|fp| service.handle(fp)).collect()
-        };
-        for round in 0..3 {
-            let fps: Vec<Fingerprint> = (0..12)
-                .map(|i| fp_bits(0b1 << (6 + round), &[3000 + 100 * round as u32 + i, 7, 8]))
-                .collect();
-            sentinel
-                .add_device_type(&format!("Swap{round}"), &fps, 9)
-                .unwrap();
-            let refreshed = sentinel.service().service().clone();
-            cell.replace(refreshed).unwrap();
-            // The swap re-publishes the model; it must neither touch
-            // the pool instance nor its threads.
-            assert_eq!(
-                Arc::as_ptr(cell.pool()),
-                Arc::as_ptr(&pool),
-                "round {round}: epoch swap replaced the pool"
-            );
-            if before_pool > 0 {
-                assert_eq!(
-                    live_threads(),
-                    after_pool,
-                    "round {round}: epoch swap changed the worker set"
-                );
-            }
-            assert_eq!(cell.load().handle_batch_on(cell.pool(), &batch), expected);
-        }
-        drop(cell);
-        drop(pool);
-    }
-    if before_pool > 0 {
+    let baseline = live_threads();
+    let spawns_before = thread_spawns();
+    let pool = Arc::new(ComputePool::new(2));
+    let cell = ServiceCell::with_pool(service, Arc::clone(&pool));
+    // One chunk: computed on this thread, whatever the pool's width.
+    let batch = probes(40);
+    let expected: Vec<_> = {
+        let service = cell.load();
+        batch.iter().map(|fp| service.handle(fp)).collect()
+    };
+    for round in 0..3 {
+        let fps: Vec<Fingerprint> = (0..12)
+            .map(|i| fp_bits(0b1 << (6 + round), &[3000 + 100 * round as u32 + i, 7, 8]))
+            .collect();
+        sentinel
+            .add_device_type(&format!("Swap{round}"), &fps, 9)
+            .unwrap();
+        let refreshed = sentinel.service().service().clone();
+        cell.replace(refreshed).unwrap();
         assert_eq!(
-            live_threads(),
-            before_pool,
-            "dropping the cell and pool must join every worker"
+            Arc::as_ptr(cell.pool()),
+            Arc::as_ptr(&pool),
+            "round {round}: epoch swap replaced the pool"
         );
+        assert_eq!(cell.load().handle_batch_on(cell.pool(), &batch), expected);
     }
+    assert_eq!(
+        thread_spawns(),
+        spawns_before,
+        "a pool, a cell, epoch swaps and one-chunk batches start no thread"
+    );
+    assert_back_at(baseline, "after the swaps");
 }

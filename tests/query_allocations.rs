@@ -19,11 +19,12 @@
 //!   count from there — so a warm `handle` is **zero** allocations
 //!   however many classifiers accepted. Only `identify*`, which
 //!   returns the ranking, allocates (once, for that vector).
-//! * The compute pool: batch fan-out runs on persistent pinned
-//!   workers instead of spawning scoped threads per call, so a warm
-//!   pooled batch is **zero heap allocations** AND **zero thread
-//!   spawns** (pinned by the workspace-wide spawn ledger), and the
-//!   pool's own accounting reconciles: every task submitted was
+//! * The compute pool: on a one-thread pool a multi-chunk batch runs
+//!   every chunk on the caller, so a warm batch is **zero heap
+//!   allocations** AND **zero thread spawns** (pinned by the
+//!   workspace-wide spawn ledger). A wider pool answers the same with
+//!   exactly `min(threads, chunks) - 1` scoped helpers per batch, and
+//!   the pool's own accounting reconciles: every task submitted was
 //!   executed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -311,12 +312,11 @@ fn warm_multi_candidate_handle_is_allocation_free() {
 #[test]
 fn warm_pooled_batch_is_allocation_and_spawn_free() {
     let _serial = serial();
-    // handle_batch's parallel arm fans chunks out on the pool; with
-    // the response buffer caller-owned (`handle_batch_into`), a warm
-    // batch is zero allocations and zero spawns end to end.
+    // With the response buffer caller-owned (`handle_batch_into`), a
+    // warm multi-chunk batch on a one-thread pool is zero allocations
+    // and zero spawns end to end.
     let s = sentinel();
     let service = s.service();
-    let pool = ComputePool::new(2);
     let probes: Vec<Fingerprint> = (0..iot_sentinel::core::BATCH_CHUNK * 2 + 5)
         .map(|i| {
             let bits = PROBE_BITS[i % PROBE_BITS.len()];
@@ -325,38 +325,40 @@ fn warm_pooled_batch_is_allocation_and_spawn_free() {
         .collect();
     let sequential: Vec<_> = probes.iter().map(|fp| service.handle(fp)).collect();
     let mut out = Vec::new();
-    // Chunk→worker placement is racy, so a cold worker could warm its
-    // thread-local query scratch inside the measured window. Warm
-    // every executor deterministically instead: threads+1 barrier
-    // tasks force the caller and both workers to run exactly one task
-    // each (an executor blocked in the barrier cannot take a second),
-    // and each task warms its own thread's scratch.
-    let barrier = std::sync::Barrier::new(3);
-    pool.for_each(3, |_| {
-        barrier.wait();
-        for bits in PROBE_BITS {
-            std::hint::black_box(service.handle(&fp_bits(bits, &[104, 110, 120])));
-        }
-    })
-    .unwrap();
-    // Then warm the caller-side lane and output buffers.
+    let inline = ComputePool::new(1);
+    // Warm the caller's query scratch, lanes and output buffer.
     for _ in 0..2 {
-        service.handle_batch_into(&pool, &probes, &mut out);
+        service.handle_batch_into(&inline, &probes, &mut out);
     }
     let spawns_before = thread_spawns();
-    let (allocs, ()) = allocations_during(|| service.handle_batch_into(&pool, &probes, &mut out));
-    assert_eq!(allocs, 0, "a warm pooled batch must not touch the heap");
+    let (allocs, ()) = allocations_during(|| service.handle_batch_into(&inline, &probes, &mut out));
+    assert_eq!(allocs, 0, "a warm one-thread batch must not touch the heap");
     assert_eq!(
         thread_spawns(),
         spawns_before,
-        "pooled batches must not spawn threads"
+        "a one-thread pool must not spawn"
     );
-    assert_eq!(out, sequential, "pooled batch responses diverged");
-    let counters = pool.counters();
-    assert_eq!(
-        counters.submitted, counters.executed,
-        "every task handed to the pool must have run"
-    );
+    assert_eq!(out, sequential, "inline batch responses diverged");
+
+    // Three chunks on a two-thread pool: the caller plus one helper.
+    let wide = ComputePool::new(2);
+    for round in 0..3 {
+        let spawns_before = thread_spawns();
+        service.handle_batch_into(&wide, &probes, &mut out);
+        assert_eq!(
+            thread_spawns() - spawns_before,
+            1,
+            "round {round}: one scoped helper per batch"
+        );
+        assert_eq!(out, sequential, "round {round}: pooled responses diverged");
+    }
+    for pool in [&inline, &wide] {
+        let counters = pool.counters();
+        assert_eq!(
+            counters.submitted, counters.executed,
+            "every task handed to the pool must have run"
+        );
+    }
 }
 
 #[test]

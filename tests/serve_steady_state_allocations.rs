@@ -15,12 +15,10 @@
 //! to the frame path: the accept thread is blocked in `accept` for the
 //! whole window.
 //!
-//! The compute-pool redesign adds two pins on the same window: the
-//! batch hand-off now runs on the cell's persistent pool, so warm
-//! round-trips must also be **zero thread spawns** (the pool's workers
-//! were pinned at startup; nothing on the frame path may spawn), and
-//! the pool's accounting must reconcile — exactly one `run` hand-off
-//! per query frame, every task submitted also executed.
+//! Two more pins hold on the same window: the connection thread that
+//! reads a query frame computes it, so warm round-trips are **zero
+//! thread spawns** and submit **zero** compute-pool tasks (a batch of
+//! at most 64 fingerprints never fans out).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -179,21 +177,20 @@ fn steady_state_frames_allocate_nothing_on_the_read_side() {
         );
     }
 
-    // Zero thread spawns in steady state: the compute pool's workers
-    // and the server's I/O threads all predate the measured window.
+    // Zero thread spawns in steady state: the server's connection
+    // threads predate the measured window.
     assert_eq!(
         iot_sentinel::pool::thread_spawns(),
         spawns_before,
         "warm round-trips must not spawn threads"
     );
-    // And the pool's ledger reconciles: each of the 64 query frames
-    // was exactly one `run` hand-off to the cell's pool (pings never
-    // touch it), and everything submitted has executed.
+    // And no query frame touched the pool: each was computed on the
+    // connection thread that read it.
     let pool_after = handle.cell().pool().counters();
     assert_eq!(
         pool_after.submitted - pool_before.submitted,
-        64,
-        "one pool hand-off per query frame"
+        0,
+        "query frames are computed inline, not handed off"
     );
     assert_eq!(
         pool_after.submitted, pool_after.executed,
