@@ -1,4 +1,5 @@
-//! Ablations over the design choices DESIGN.md §5 calls out:
+//! Ablations over the design parameters the paper fixes (§IV) and two
+//! of this implementation's own:
 //!
 //! * F′ unique-packet prefix length (paper fixes 12),
 //! * negative subsampling ratio (paper fixes 10×n),

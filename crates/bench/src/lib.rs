@@ -9,7 +9,7 @@
 //! | `table3_confusion` | Table III — confusion matrix of the 10 confused types |
 //! | `table4_timing` | Table IV — identification stage timing |
 //! | `gateway_overhead` | Tables V–VI and Fig. 6a/b/c — per-packet cost and heap of the real enforcement path, with and without filtering, against flows and rules |
-//! | `ablations` | DESIGN.md §5 — prefix length, negative ratio, reference count, distance variant |
+//! | `ablations` | the design parameters §IV fixes — prefix length, negative ratio, reference count, distance variant |
 //! | `standby_identification` | §VIII-A — identification from standby/operation traffic |
 
 #![forbid(unsafe_code)]

@@ -15,7 +15,7 @@
 //!   *not* count as an error).
 //! * [`inject`] replays a whole plan's attacker connections against an
 //!   address, counting every fault into
-//!   [`Counter::FaultsInjected`](sentinel_obs::Counter::FaultsInjected)
+//!   [`sentinel_obs::Counter::FaultsInjected`]
 //!   when given the server's registry.
 //! * [`query_panic_hook`] turns the plan's scheduled panic points into
 //!   a [`ServerConfig::fault_injection`] hook: the Nth query batch the

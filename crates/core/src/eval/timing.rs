@@ -215,12 +215,11 @@ mod tests {
     fn extraction_timing_counts_captures() {
         use sentinel_net::{MacAddr, Packet, Port};
         let src = MacAddr::new([2, 0, 0, 0, 0, 1]);
-        let dst = MacAddr::new([2, 0, 0, 0, 0, 2]);
         let packets: Vec<Packet> = (0..20)
             .map(|i| {
-                Packet::builder(src, dst)
+                Packet::builder(src)
                     .udp(Port::new(50000 + i), Port::DNS)
-                    .dns(false, 1)
+                    .dns()
                     .wire_len(80 + i as usize)
                     .build()
             })

@@ -14,7 +14,8 @@
 //! that is indistinguishable, at the feature level the fingerprint
 //! consumes, from a tcpdump capture of the device.
 //!
-//! **Fidelity notes** (see DESIGN.md §1 for the substitution argument):
+//! **Fidelity notes** (the scripts stand in for the 27 real devices the
+//! paper set up in its lab, §VI-A):
 //!
 //! * Device types from the same vendor with shared hardware/firmware —
 //!   the D-Link sensor/siren/water-sensor/plug quartet, the TP-Link

@@ -20,7 +20,8 @@
 //! mDNS) for hub- and camera-class devices, and vendor-proprietary
 //! beacons for app-coupled appliances.
 //!
-//! Fidelity notes, mirroring the setup catalogue (DESIGN.md §1):
+//! Fidelity notes, mirroring the setup catalogue's (standby traffic is
+//! the paper's §VIII-A extension):
 //!
 //! * Sibling groups that share hardware/firmware — the D-Link quartet,
 //!   the TP-Link pair, the Edimax pair and the Smarter pair — get

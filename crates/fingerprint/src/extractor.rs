@@ -32,10 +32,10 @@ use crate::fingerprint::Fingerprint;
 /// // Two identical DNS queries in a row collapse into one column.
 /// for _ in 0..2 {
 ///     ex.observe(
-///         &Packet::builder(src, dst)
-///             .ipv4("10.0.0.5".parse()?, "10.0.0.1".parse()?)
+///         &Packet::builder(src)
+///             .ipv4("10.0.0.1".parse()?)
 ///             .udp(Port::new(50000), Port::DNS)
-///             .dns(false, 1)
+///             .dns()
 ///             .build(),
 ///     );
 /// }
@@ -116,19 +116,15 @@ mod tests {
     use sentinel_net::{MacAddr, Port};
     use std::net::Ipv4Addr;
 
-    fn macs() -> (MacAddr, MacAddr) {
-        (
-            MacAddr::new([2, 0, 0, 0, 0, 1]),
-            MacAddr::new([2, 0, 0, 0, 0, 2]),
-        )
+    fn mac() -> MacAddr {
+        MacAddr::new([2, 0, 0, 0, 0, 1])
     }
 
     fn dns_to(dst: Ipv4Addr, size: usize) -> Packet {
-        let (s, d) = macs();
-        Packet::builder(s, d)
-            .ipv4(Ipv4Addr::new(10, 0, 0, 5), dst)
+        Packet::builder(mac())
+            .ipv4(dst)
             .udp(Port::new(50000), Port::DNS)
-            .dns(false, 1)
+            .dns()
             .wire_len(size)
             .build()
     }
@@ -148,13 +144,8 @@ mod tests {
 
     #[test]
     fn non_ip_packets_get_counter_zero() {
-        let (s, d) = macs();
         let mut ex = FingerprintExtractor::new();
-        ex.observe(
-            &Packet::builder(s, d)
-                .arp(1, Ipv4Addr::UNSPECIFIED, Ipv4Addr::new(10, 0, 0, 1))
-                .build(),
-        );
+        ex.observe(&Packet::builder(mac()).arp().build());
         let fp = ex.finish();
         assert_eq!(fp.columns()[0].get(FeatureId::DstIpCounter), 0);
     }

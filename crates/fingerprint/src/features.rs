@@ -231,11 +231,8 @@ mod tests {
     use super::*;
     use sentinel_net::{MacAddr, Packet, Port};
 
-    fn macs() -> (MacAddr, MacAddr) {
-        (
-            MacAddr::new([2, 0, 0, 0, 0, 1]),
-            MacAddr::new([2, 0, 0, 0, 0, 2]),
-        )
+    fn mac() -> MacAddr {
+        MacAddr::new([2, 0, 0, 0, 0, 1])
     }
 
     #[test]
@@ -265,10 +262,9 @@ mod tests {
 
     #[test]
     fn dhcp_packet_sets_dhcp_and_bootp() {
-        let (s, d) = macs();
-        let pkt = Packet::builder(s, d)
+        let pkt = Packet::builder(mac())
             .udp(Port::DHCP_CLIENT, Port::DHCP_SERVER)
-            .dhcp(1)
+            .dhcp()
             .wire_len(342)
             .build();
         let f = PacketFeatures::extract(&pkt, 0);
@@ -284,8 +280,7 @@ mod tests {
 
     #[test]
     fn bootp_only_sets_bootp_not_dhcp() {
-        let (s, d) = macs();
-        let pkt = Packet::builder(s, d)
+        let pkt = Packet::builder(mac())
             .udp(Port::DHCP_CLIENT, Port::DHCP_SERVER)
             .bootp()
             .build();
@@ -296,11 +291,7 @@ mod tests {
 
     #[test]
     fn arp_packet_features() {
-        let (s, d) = macs();
-        let pkt = Packet::builder(s, d)
-            .arp(1, "0.0.0.0".parse().unwrap(), "10.0.0.1".parse().unwrap())
-            .wire_len(60)
-            .build();
+        let pkt = Packet::builder(mac()).arp().wire_len(60).build();
         let f = PacketFeatures::extract(&pkt, 0);
         assert_eq!(f.get(FeatureId::Arp), 1);
         assert_eq!(f.get(FeatureId::Ip), 0);
@@ -311,10 +302,9 @@ mod tests {
 
     #[test]
     fn https_sets_raw_data() {
-        let (s, d) = macs();
-        let pkt = Packet::builder(s, d)
-            .tcp(Port::new(51000), Port::HTTPS, Default::default())
-            .tls(22)
+        let pkt = Packet::builder(mac())
+            .tcp(Port::new(51000), Port::HTTPS)
+            .tls()
             .build();
         let f = PacketFeatures::extract(&pkt, 3);
         assert_eq!(f.get(FeatureId::Https), 1);
@@ -326,15 +316,14 @@ mod tests {
 
     #[test]
     fn equality_requires_all_features() {
-        let (s, d) = macs();
-        let a = Packet::builder(s, d)
+        let a = Packet::builder(mac())
             .udp(Port::new(50000), Port::DNS)
-            .dns(false, 1)
+            .dns()
             .wire_len(80)
             .build();
-        let b = Packet::builder(s, d)
+        let b = Packet::builder(mac())
             .udp(Port::new(50000), Port::DNS)
-            .dns(false, 1)
+            .dns()
             .wire_len(81)
             .build();
         let fa = PacketFeatures::extract(&a, 1);

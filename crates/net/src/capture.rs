@@ -43,7 +43,7 @@ impl CapturedFrame {
         &self.bytes
     }
 
-    /// Decodes the frame into the header-level packet model.
+    /// Decodes the frame into its [`Packet`] record.
     ///
     /// # Errors
     ///
@@ -496,7 +496,7 @@ mod tests {
     fn multicast_sources_never_open_captures() {
         let mut mon = CaptureMonitor::new(SetupDetectorConfig::default());
         let mcast_src = MacAddr::ipv4_multicast(0xfb);
-        let pkt = crate::Packet::builder(mcast_src, MacAddr::BROADCAST).build();
+        let pkt = crate::Packet::builder(mcast_src).build();
         mon.observe_packet(pkt);
         assert_eq!(mon.active_count(), 0);
     }

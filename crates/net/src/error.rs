@@ -25,21 +25,11 @@ pub enum WireError {
     InvalidField {
         /// The name of the offending field.
         field: &'static str,
-        /// A rendering of the offending value.
-        value: String,
+        /// The offending value.
+        value: u32,
     },
-    /// A frame carried an EtherType this codec does not understand.
-    UnsupportedEtherType(u16),
-    /// An IP payload carried a transport protocol this codec does not
-    /// understand.
-    UnsupportedIpProtocol(u8),
     /// A pcap stream had the wrong magic number.
     BadPcapMagic(u32),
-    /// Text-based protocol content (HTTP/SSDP) was not valid UTF-8.
-    InvalidUtf8 {
-        /// The protocol whose payload failed to decode.
-        context: &'static str,
-    },
     /// Underlying I/O failure while reading or writing a capture.
     Io(io::Error),
 }
@@ -55,10 +45,10 @@ impl WireError {
     }
 
     /// Convenience constructor for [`WireError::InvalidField`].
-    pub fn invalid_field(field: &'static str, value: impl fmt::Display) -> Self {
+    pub fn invalid_field(field: &'static str, value: impl Into<u32>) -> Self {
         WireError::InvalidField {
             field,
-            value: value.to_string(),
+            value: value.into(),
         }
     }
 }
@@ -77,16 +67,7 @@ impl fmt::Display for WireError {
             WireError::InvalidField { field, value } => {
                 write!(f, "invalid {field}: {value}")
             }
-            WireError::UnsupportedEtherType(et) => {
-                write!(f, "unsupported ethertype 0x{et:04x}")
-            }
-            WireError::UnsupportedIpProtocol(p) => {
-                write!(f, "unsupported ip protocol {p}")
-            }
             WireError::BadPcapMagic(m) => write!(f, "bad pcap magic 0x{m:08x}"),
-            WireError::InvalidUtf8 { context } => {
-                write!(f, "invalid utf-8 in {context} payload")
-            }
             WireError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
@@ -115,11 +96,8 @@ mod tests {
     fn display_forms_are_lowercase_without_period() {
         let cases: Vec<WireError> = vec![
             WireError::truncated("ipv4 header", 20, 7),
-            WireError::invalid_field("dhcp op", 99),
-            WireError::UnsupportedEtherType(0x1234),
-            WireError::UnsupportedIpProtocol(200),
+            WireError::invalid_field("tcp data offset", 2u8),
             WireError::BadPcapMagic(0xdeadbeef),
-            WireError::InvalidUtf8 { context: "http" },
         ];
         for e in cases {
             let s = e.to_string();

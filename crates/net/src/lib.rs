@@ -4,13 +4,14 @@
 //! (tcpdump on the Security Gateway's WiFi and Ethernet interfaces). It
 //! provides:
 //!
-//! * a **decoded packet model** ([`Packet`]) carrying exactly the
-//!   header-level information the IoT Sentinel fingerprint consumes
-//!   (link/network/transport/application protocols, IP options, sizes,
-//!   ports, addresses — never payload semantics),
-//! * a **wire codec** ([`wire`]) that encodes and decodes real byte
-//!   frames for Ethernet, ARP, IPv4/IPv6, TCP/UDP, ICMP/ICMPv6, DHCP/BOOTP,
-//!   DNS/mDNS, SSDP, NTP, EAPoL, HTTP and TLS client hellos,
+//! * a **packet record** ([`Packet`]) carrying exactly what the IoT
+//!   Sentinel fingerprint reads from a frame (Table I: protocol flags,
+//!   IP options, size, raw data, destination IP and ports — never
+//!   payload semantics), plus the source MAC and capture time,
+//! * a **wire codec** ([`wire`]) that encodes real byte frames for
+//!   Ethernet, ARP, IPv4/IPv6, TCP/UDP, ICMP/ICMPv6, DHCP/BOOTP,
+//!   DNS/mDNS, SSDP, NTP, EAPoL, HTTP and TLS client hellos, and decodes
+//!   a frame into a [`Packet`] in place, without allocating,
 //! * **pcap I/O** ([`pcap`]) in the classic libpcap format so captures can
 //!   be persisted and exchanged, and
 //! * a **capture monitor** ([`capture`]) that watches a frame stream for
@@ -27,14 +28,14 @@
 //!
 //! ```
 //! use sentinel_net::wire;
-//! use sentinel_net::{MacAddr, SimTime};
+//! use sentinel_net::{AppProtocol, MacAddr, SimTime};
 //!
 //! // Compose a DHCP Discover as raw bytes, then decode it back.
 //! let device = MacAddr::new([0x13, 0x73, 0x74, 0x7e, 0xa9, 0xc2]);
 //! let frame = wire::compose::dhcp_discover(device, 0x1234, "sensor");
 //! let packet = wire::decode_frame(&frame, SimTime::ZERO)?;
 //! assert_eq!(packet.src_mac(), device);
-//! assert!(packet.app().is_some());
+//! assert_eq!(packet.app_protocol(), Some(AppProtocol::Dhcp));
 //! # Ok::<(), sentinel_net::WireError>(())
 //! ```
 
@@ -56,7 +57,7 @@ pub use capture::{
 };
 pub use error::WireError;
 pub use mac::MacAddr;
-pub use packet::{AppPayload, LinkHeader, NetHeader, Packet, PacketBuilder, TransportHeader};
+pub use packet::{Packet, PacketBuilder};
 pub use port::{Port, PortClass};
 pub use protocol::{AppProtocol, EtherType, IpProtocol};
 pub use time::{SimDuration, SimTime};

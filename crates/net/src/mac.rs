@@ -55,11 +55,6 @@ impl MacAddr {
         self.0[0] & 0x01 != 0
     }
 
-    /// Whether the locally-administered bit is set.
-    pub fn is_locally_administered(self) -> bool {
-        self.0[0] & 0x02 != 0
-    }
-
     /// The 24-bit Organizationally Unique Identifier (vendor prefix).
     pub fn oui(self) -> [u8; 3] {
         [self.0[0], self.0[1], self.0[2]]
@@ -107,18 +102,18 @@ impl FromStr for MacAddr {
 
     /// Parses `aa:bb:cc:dd:ee:ff` or `AA-BB-CC-DD-EE-FF`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let parts: Vec<&str> = if s.contains(':') {
-            s.split(':').collect()
-        } else {
-            s.split('-').collect()
-        };
-        if parts.len() != 6 {
-            return Err(WireError::invalid_field("mac address", s));
+        let sep = if s.contains(':') { ':' } else { '-' };
+        let count = s.split(sep).count();
+        if count != 6 {
+            return Err(WireError::invalid_field(
+                "mac address octet count",
+                count as u32,
+            ));
         }
         let mut octets = [0u8; 6];
-        for (i, p) in parts.iter().enumerate() {
-            octets[i] =
-                u8::from_str_radix(p, 16).map_err(|_| WireError::invalid_field("mac octet", p))?;
+        for (i, (octet, part)) in octets.iter_mut().zip(s.split(sep)).enumerate() {
+            *octet = u8::from_str_radix(part, 16)
+                .map_err(|_| WireError::invalid_field("mac address octet", i as u32 + 1))?;
         }
         Ok(MacAddr(octets))
     }

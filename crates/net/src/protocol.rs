@@ -49,18 +49,6 @@ impl EtherType {
     }
 }
 
-impl fmt::Display for EtherType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EtherType::Ipv4 => f.write_str("IPv4"),
-            EtherType::Ipv6 => f.write_str("IPv6"),
-            EtherType::Arp => f.write_str("ARP"),
-            EtherType::Eapol => f.write_str("EAPoL"),
-            EtherType::Other(v) => write!(f, "0x{v:04x}"),
-        }
-    }
-}
-
 /// IP protocol numbers relevant to the capture plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IpProtocol {
@@ -101,19 +89,6 @@ impl IpProtocol {
             IpProtocol::Udp => 17,
             IpProtocol::Icmpv6 => 58,
             IpProtocol::Other(v) => v,
-        }
-    }
-}
-
-impl fmt::Display for IpProtocol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IpProtocol::Icmp => f.write_str("ICMP"),
-            IpProtocol::Igmp => f.write_str("IGMP"),
-            IpProtocol::Tcp => f.write_str("TCP"),
-            IpProtocol::Udp => f.write_str("UDP"),
-            IpProtocol::Icmpv6 => f.write_str("ICMPv6"),
-            IpProtocol::Other(v) => write!(f, "proto{v}"),
         }
     }
 }

@@ -673,7 +673,6 @@ pub fn llc_frame(src: MacAddr, dst: MacAddr, dsap: u8, ssap: u8, len: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::AppPayload;
     use crate::protocol::AppProtocol;
     use crate::time::SimTime;
     use crate::wire::decode_frame;
@@ -966,7 +965,7 @@ mod tests {
         );
         let pkt = decode_frame(&frame, SimTime::ZERO).unwrap();
         assert!(pkt.has_raw_data());
-        assert!(matches!(pkt.app(), Some(AppPayload::Opaque { len: 32 })));
+        assert_eq!(pkt.app_protocol(), None);
     }
 
     #[test]

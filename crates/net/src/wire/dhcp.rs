@@ -1,16 +1,15 @@
-//! DHCP / BOOTP message encoding and decoding (RFC 2131).
+//! DHCP / BOOTP message encoding (RFC 2131) and recognition.
 //!
 //! The fingerprint distinguishes DHCP (a BOOTP message carrying the
-//! message-type option 53) from plain BOOTP, so the decoder reports
+//! message-type option 53) from plain BOOTP, and the decoder recognises
 //! both cases.
 
 use std::net::Ipv4Addr;
 
 use bytes::BufMut;
 
-use crate::error::WireError;
 use crate::mac::MacAddr;
-use crate::wire::Reader;
+use crate::protocol::AppProtocol;
 
 /// DHCP magic cookie following the BOOTP fixed header.
 pub const MAGIC_COOKIE: [u8; 4] = [0x63, 0x82, 0x53, 0x63];
@@ -37,23 +36,6 @@ pub enum DhcpMessageType {
     Inform = 8,
 }
 
-impl DhcpMessageType {
-    /// Decodes an option 53 value.
-    pub fn from_u8(v: u8) -> Option<Self> {
-        Some(match v {
-            1 => DhcpMessageType::Discover,
-            2 => DhcpMessageType::Offer,
-            3 => DhcpMessageType::Request,
-            4 => DhcpMessageType::Decline,
-            5 => DhcpMessageType::Ack,
-            6 => DhcpMessageType::Nak,
-            7 => DhcpMessageType::Release,
-            8 => DhcpMessageType::Inform,
-            _ => return None,
-        })
-    }
-}
-
 /// A DHCP option (subset used by IoT device setup flows).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DhcpOption {
@@ -65,14 +47,10 @@ pub enum DhcpOption {
     ServerId(Ipv4Addr),
     /// Option 12: host name.
     HostName(String),
-    /// Option 60: vendor class identifier.
-    VendorClassId(String),
     /// Option 55: parameter request list.
     ParameterRequestList(Vec<u8>),
     /// Option 51: lease time in seconds.
     LeaseTime(u32),
-    /// Any other option, kept as raw code + bytes.
-    Other(u8, Vec<u8>),
 }
 
 /// A BOOTP/DHCP message.
@@ -200,14 +178,6 @@ impl DhcpMessage {
         }
     }
 
-    /// The message type, or `None` for plain BOOTP.
-    pub fn message_type(&self) -> Option<DhcpMessageType> {
-        self.options.iter().find_map(|o| match o {
-            DhcpOption::MessageType(t) => Some(*t),
-            _ => None,
-        })
-    }
-
     /// Encodes the message.
     pub fn encode(&self, out: &mut Vec<u8>) {
         out.put_u8(self.op);
@@ -245,11 +215,6 @@ impl DhcpMessage {
                         out.put_u8(name.len() as u8);
                         out.put_slice(name.as_bytes());
                     }
-                    DhcpOption::VendorClassId(id) => {
-                        out.put_u8(60);
-                        out.put_u8(id.len() as u8);
-                        out.put_slice(id.as_bytes());
-                    }
                     DhcpOption::ParameterRequestList(params) => {
                         out.put_u8(55);
                         out.put_u8(params.len() as u8);
@@ -259,93 +224,43 @@ impl DhcpMessage {
                         out.put_slice(&[51, 4]);
                         out.put_u32(*t);
                     }
-                    DhcpOption::Other(code, data) => {
-                        out.put_u8(*code);
-                        out.put_u8(data.len() as u8);
-                        out.put_slice(data);
-                    }
                 }
             }
             out.put_u8(255); // end option
         }
     }
+}
 
-    /// Decodes a message from the remainder of `r`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Truncated`] on short input and
-    /// [`WireError::InvalidField`] for a bad op code.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let op = r.read_u8("dhcp op")?;
-        if op != 1 && op != 2 {
-            return Err(WireError::invalid_field("dhcp op", op));
-        }
-        let _htype = r.read_u8("dhcp htype")?;
-        let _hlen = r.read_u8("dhcp hlen")?;
-        let _hops = r.read_u8("dhcp hops")?;
-        let xid = r.read_u32("dhcp xid")?;
-        let secs = r.read_u16("dhcp secs")?;
-        let flags = r.read_u16("dhcp flags")?;
-        let ciaddr = Ipv4Addr::from(r.read_array::<4>("dhcp ciaddr")?);
-        let yiaddr = Ipv4Addr::from(r.read_array::<4>("dhcp yiaddr")?);
-        let siaddr = Ipv4Addr::from(r.read_array::<4>("dhcp siaddr")?);
-        let _giaddr = r.read_array::<4>("dhcp giaddr")?;
-        let chaddr = MacAddr::new(r.read_array::<6>("dhcp chaddr")?);
-        r.skip("dhcp chaddr padding", 10)?;
-        r.skip("dhcp sname", 64)?;
-        r.skip("dhcp file", 128)?;
-        let mut options = Vec::new();
-        if r.remaining() >= 4 && r.peek_array::<4>() == Some(MAGIC_COOKIE) {
-            r.skip("dhcp magic", 4)?;
-            loop {
-                if r.remaining() == 0 {
-                    break;
-                }
-                let code = r.read_u8("dhcp option code")?;
-                match code {
-                    0 => continue, // pad
-                    255 => break,  // end
-                    _ => {
-                        let len = r.read_u8("dhcp option length")? as usize;
-                        let data = r.read_slice("dhcp option data", len)?;
-                        options.push(match code {
-                            53 if len == 1 => match DhcpMessageType::from_u8(data[0]) {
-                                Some(t) => DhcpOption::MessageType(t),
-                                None => DhcpOption::Other(53, data.to_vec()),
-                            },
-                            50 if len == 4 => DhcpOption::RequestedIp(Ipv4Addr::new(
-                                data[0], data[1], data[2], data[3],
-                            )),
-                            54 if len == 4 => DhcpOption::ServerId(Ipv4Addr::new(
-                                data[0], data[1], data[2], data[3],
-                            )),
-                            12 => DhcpOption::HostName(String::from_utf8_lossy(data).into_owned()),
-                            60 => DhcpOption::VendorClassId(
-                                String::from_utf8_lossy(data).into_owned(),
-                            ),
-                            55 => DhcpOption::ParameterRequestList(data.to_vec()),
-                            51 if len == 4 => DhcpOption::LeaseTime(u32::from_be_bytes([
-                                data[0], data[1], data[2], data[3],
-                            ])),
-                            _ => DhcpOption::Other(code, data.to_vec()),
-                        });
-                    }
+/// Recognises a UDP payload as DHCP or plain BOOTP: a BOOTREQUEST or
+/// BOOTREPLY with the full 236-byte fixed header and, after the magic
+/// cookie, a well-formed option list. DHCP is a message-type option
+/// (53) with a valid type. `None` if the payload is neither.
+pub(crate) fn recognise(msg: &[u8]) -> Option<AppProtocol> {
+    if msg.len() < 236 || !matches!(msg[0], 1 | 2) {
+        return None;
+    }
+    let mut dhcp = false;
+    if msg.get(236..240) == Some(&MAGIC_COOKIE[..]) {
+        let mut at = 240;
+        while let Some(&code) = msg.get(at) {
+            at += 1;
+            match code {
+                0 => {}       // pad
+                255 => break, // end
+                _ => {
+                    let len = usize::from(*msg.get(at)?);
+                    let data = msg.get(at + 1..at + 1 + len)?;
+                    dhcp |= code == 53 && len == 1 && (1..=8).contains(&data[0]);
+                    at += 1 + len;
                 }
             }
         }
-        Ok(DhcpMessage {
-            op,
-            xid,
-            secs,
-            broadcast: flags & 0x8000 != 0,
-            ciaddr,
-            yiaddr,
-            siaddr,
-            chaddr,
-            options,
-        })
     }
+    Some(if dhcp {
+        AppProtocol::Dhcp
+    } else {
+        AppProtocol::Bootp
+    })
 }
 
 #[cfg(test)]
@@ -356,38 +271,25 @@ mod tests {
         MacAddr::new([2, 0, 0, 0, 0, 7])
     }
 
-    #[test]
-    fn discover_round_trip() {
-        let msg = DhcpMessage::discover(mac(), 0xdeadbeef, "smart-plug");
+    fn encoded(msg: &DhcpMessage) -> Vec<u8> {
         let mut buf = Vec::new();
         msg.encode(&mut buf);
-        let decoded = DhcpMessage::decode(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(decoded, msg);
-        assert_eq!(decoded.message_type(), Some(DhcpMessageType::Discover));
+        buf
     }
 
     #[test]
-    fn request_carries_requested_ip_and_server() {
-        let msg = DhcpMessage::request(
-            mac(),
-            7,
-            Ipv4Addr::new(192, 168, 1, 50),
-            Ipv4Addr::new(192, 168, 1, 1),
-            "cam",
-        );
-        let mut buf = Vec::new();
-        msg.encode(&mut buf);
-        let decoded = DhcpMessage::decode(&mut Reader::new(&buf)).unwrap();
-        assert!(decoded
-            .options
-            .contains(&DhcpOption::RequestedIp(Ipv4Addr::new(192, 168, 1, 50))));
-        assert!(decoded
-            .options
-            .contains(&DhcpOption::ServerId(Ipv4Addr::new(192, 168, 1, 1))));
+    fn discover_layout() {
+        let buf = encoded(&DhcpMessage::discover(mac(), 0xdeadbeef, "smart-plug"));
+        assert_eq!(buf[0], 1, "BOOTREQUEST");
+        assert_eq!(buf[4..8], 0xdeadbeef_u32.to_be_bytes());
+        assert_eq!(buf[28..34], mac().octets());
+        assert_eq!(buf[236..243], [0x63, 0x82, 0x53, 0x63, 53, 1, 1]);
+        assert_eq!(buf.last(), Some(&255));
+        assert_eq!(recognise(&buf), Some(AppProtocol::Dhcp));
     }
 
     #[test]
-    fn server_ack_round_trip() {
+    fn server_ack_is_dhcp() {
         let msg = DhcpMessage::server_reply(
             DhcpMessageType::Ack,
             mac(),
@@ -395,48 +297,33 @@ mod tests {
             Ipv4Addr::new(192, 168, 1, 50),
             Ipv4Addr::new(192, 168, 1, 1),
         );
-        let mut buf = Vec::new();
-        msg.encode(&mut buf);
-        let decoded = DhcpMessage::decode(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(decoded.op, 2);
-        assert_eq!(decoded.yiaddr, Ipv4Addr::new(192, 168, 1, 50));
-        assert_eq!(decoded.message_type(), Some(DhcpMessageType::Ack));
+        let buf = encoded(&msg);
+        assert_eq!(buf[0], 2, "BOOTREPLY");
+        assert_eq!(buf[16..20], [192, 168, 1, 50]);
+        assert_eq!(recognise(&buf), Some(AppProtocol::Dhcp));
     }
 
     #[test]
     fn plain_bootp_has_no_message_type() {
-        let msg = DhcpMessage::bootp_request(mac(), 42);
-        let mut buf = Vec::new();
-        msg.encode(&mut buf);
-        let decoded = DhcpMessage::decode(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(decoded.message_type(), None);
-        assert!(decoded.options.is_empty());
+        let buf = encoded(&DhcpMessage::bootp_request(mac(), 42));
+        assert_eq!(buf.len(), 236, "fixed header only");
+        assert_eq!(recognise(&buf), Some(AppProtocol::Bootp));
     }
 
     #[test]
-    fn fixed_header_is_236_bytes_without_options() {
-        let msg = DhcpMessage::bootp_request(mac(), 42);
-        let mut buf = Vec::new();
-        msg.encode(&mut buf);
-        assert_eq!(buf.len(), 236);
-    }
-
-    #[test]
-    fn rejects_bad_op() {
-        let msg = DhcpMessage::bootp_request(mac(), 42);
-        let mut buf = Vec::new();
-        msg.encode(&mut buf);
+    fn invalid_message_types_and_bad_ops_are_not_dhcp() {
+        let mut buf = encoded(&DhcpMessage::inform(mac(), 1, Ipv4Addr::LOCALHOST));
+        buf[242] = 9; // option 53 value out of range
+        assert_eq!(recognise(&buf), Some(AppProtocol::Bootp));
         buf[0] = 9;
-        assert!(DhcpMessage::decode(&mut Reader::new(&buf)).is_err());
+        assert_eq!(recognise(&buf), None);
     }
 
     #[test]
-    fn message_type_round_trip_all_values() {
-        for v in 1u8..=8 {
-            let t = DhcpMessageType::from_u8(v).unwrap();
-            assert_eq!(t as u8, v);
-        }
-        assert!(DhcpMessageType::from_u8(0).is_none());
-        assert!(DhcpMessageType::from_u8(9).is_none());
+    fn truncated_options_are_not_bootp() {
+        let buf = encoded(&DhcpMessage::discover(mac(), 1, "plug"));
+        // Cut inside the host-name option: the option list is malformed.
+        assert_eq!(recognise(&buf[..246]), None);
+        assert_eq!(recognise(&buf[..235]), None);
     }
 }

@@ -1,14 +1,10 @@
-//! DNS / mDNS message encoding and decoding (RFC 1035 subset).
+//! DNS / mDNS message encoding (RFC 1035 subset) and recognition.
 //!
-//! Supports questions and a minimal answer section — enough for the
-//! queries and announcements IoT devices emit during setup (A/AAAA
-//! lookups of vendor cloud hosts, mDNS PTR/SRV/TXT service
-//! announcements).
+//! Encodes questions and a minimal answer section — enough for the
+//! queries and announcements IoT devices emit during setup (A lookups
+//! of vendor cloud hosts, mDNS PTR/TXT service announcements).
 
 use bytes::BufMut;
-
-use crate::error::WireError;
-use crate::wire::Reader;
 
 /// DNS record type A (IPv4 host address).
 pub const TYPE_A: u16 = 1;
@@ -16,10 +12,6 @@ pub const TYPE_A: u16 = 1;
 pub const TYPE_PTR: u16 = 12;
 /// DNS record type TXT.
 pub const TYPE_TXT: u16 = 16;
-/// DNS record type AAAA (IPv6 host address).
-pub const TYPE_AAAA: u16 = 28;
-/// DNS record type SRV.
-pub const TYPE_SRV: u16 = 33;
 /// DNS class IN.
 pub const CLASS_IN: u16 = 1;
 
@@ -175,59 +167,6 @@ impl DnsMessage {
             out.put_slice(&a.rdata);
         }
     }
-
-    /// Decodes a message from the remainder of `r`.
-    ///
-    /// Name-compression pointers are followed one level (sufficient
-    /// for the frames this crate emits and typical capture content).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Truncated`] on short input.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let full = r.read_rest().to_vec();
-        let mut cur = Reader::new(&full);
-        let id = cur.read_u16("dns id")?;
-        let flags = cur.read_u16("dns flags")?;
-        let qcount = cur.read_u16("dns question count")?;
-        let acount = cur.read_u16("dns answer count")?;
-        let _ns = cur.read_u16("dns authority count")?;
-        let _ar = cur.read_u16("dns additional count")?;
-        let mut questions = Vec::new();
-        for _ in 0..qcount {
-            let name = decode_name(&mut cur, &full)?;
-            let qtype = cur.read_u16("dns qtype")?;
-            let qclass = cur.read_u16("dns qclass")?;
-            questions.push(DnsQuestion {
-                name,
-                qtype,
-                qclass,
-            });
-        }
-        let mut answers = Vec::new();
-        for _ in 0..acount {
-            let name = decode_name(&mut cur, &full)?;
-            let rtype = cur.read_u16("dns rtype")?;
-            let rclass = cur.read_u16("dns rclass")?;
-            let ttl = cur.read_u32("dns ttl")?;
-            let rdlen = cur.read_u16("dns rdlength")? as usize;
-            let rdata = cur.read_slice("dns rdata", rdlen)?.to_vec();
-            answers.push(DnsRecord {
-                name,
-                rtype,
-                rclass,
-                ttl,
-                rdata,
-            });
-        }
-        Ok(DnsMessage {
-            id,
-            response: flags & 0x8000 != 0,
-            recursion_desired: flags & 0x0100 != 0,
-            questions,
-            answers,
-        })
-    }
 }
 
 /// Encodes a dot-separated name in DNS label format into `out`.
@@ -246,51 +185,63 @@ pub fn encode_name_bytes(name: &str) -> Vec<u8> {
     out
 }
 
-/// Decodes a DNS name at the current reader position, following at most
-/// one compression pointer into `full`.
-fn decode_name(r: &mut Reader<'_>, full: &[u8]) -> Result<String, WireError> {
-    let mut labels: Vec<String> = Vec::new();
-    loop {
-        let len = r.read_u8("dns label length")?;
-        if len == 0 {
-            break;
-        }
-        if len & 0xc0 == 0xc0 {
-            let lo = r.read_u8("dns pointer low byte")?;
-            let offset = ((u16::from(len & 0x3f) << 8) | u16::from(lo)) as usize;
-            if offset >= full.len() {
-                return Err(WireError::invalid_field("dns compression offset", offset));
-            }
-            let mut sub = Reader::new(&full[offset..]);
-            // One level only: recursive pointers in pointed-to names are
-            // rejected by the nested call reading a pointer again.
-            let rest = decode_name_simple(&mut sub)?;
-            if !rest.is_empty() {
-                labels.push(rest);
-            }
-            break;
-        }
-        let bytes = r.read_slice("dns label", len as usize)?;
-        labels.push(String::from_utf8_lossy(bytes).into_owned());
-    }
-    Ok(labels.join("."))
+/// Whether a UDP payload is a DNS message: the 12-byte header, then as
+/// many well-formed questions and answer records as it counts. Names
+/// may end in one compression pointer, whose target must be a name
+/// without further pointers.
+pub(crate) fn is_message(msg: &[u8]) -> bool {
+    message_end(msg).is_some()
 }
 
-/// Decodes a name without following compression pointers.
-fn decode_name_simple(r: &mut Reader<'_>) -> Result<String, WireError> {
-    let mut labels: Vec<String> = Vec::new();
-    loop {
-        let len = r.read_u8("dns label length")?;
-        if len == 0 {
-            break;
-        }
-        if len & 0xc0 == 0xc0 {
-            return Err(WireError::invalid_field("dns nested compression", len));
-        }
-        let bytes = r.read_slice("dns label", len as usize)?;
-        labels.push(String::from_utf8_lossy(bytes).into_owned());
+fn message_end(msg: &[u8]) -> Option<usize> {
+    let be16 = |at: usize| Some(u16::from_be_bytes([*msg.get(at)?, *msg.get(at + 1)?]));
+    let (questions, answers) = (be16(4)?, be16(6)?);
+    let mut at = 12;
+    if msg.len() < at {
+        return None;
     }
-    Ok(labels.join("."))
+    for _ in 0..questions {
+        at = name_end(msg, at)? + 4; // type, class
+    }
+    if msg.len() < at {
+        return None;
+    }
+    for _ in 0..answers {
+        at = name_end(msg, at)? + 10; // type, class, ttl, rdata length
+        at += usize::from(be16(at - 2)?); // rdata
+    }
+    (msg.len() >= at).then_some(at)
+}
+
+/// The offset just past the name starting at `at`.
+fn name_end(msg: &[u8], mut at: usize) -> Option<usize> {
+    loop {
+        let len = *msg.get(at)?;
+        at += 1;
+        match len {
+            0 => return Some(at),
+            len if len & 0xc0 == 0xc0 => {
+                let offset = usize::from(len & 0x3f) << 8 | usize::from(*msg.get(at)?);
+                let mut i = offset;
+                loop {
+                    match *msg.get(i)? {
+                        0 => return Some(at + 1),
+                        l if l & 0xc0 == 0xc0 => return None,
+                        l => i += 1 + usize::from(l),
+                    }
+                    if i > msg.len() {
+                        return None;
+                    }
+                }
+            }
+            len => {
+                at += usize::from(len);
+                if at > msg.len() {
+                    return None;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -298,73 +249,74 @@ mod tests {
     use super::*;
     use std::net::Ipv4Addr;
 
-    #[test]
-    fn query_round_trip() {
-        let msg = DnsMessage::query_a(0x1234, "api.vendor-cloud.example.com");
+    fn encoded(msg: &DnsMessage) -> Vec<u8> {
         let mut buf = Vec::new();
         msg.encode(&mut buf);
-        let decoded = DnsMessage::decode(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(decoded, msg);
+        buf
     }
 
     #[test]
-    fn mdns_query_has_zero_id_no_rd() {
-        let msg = DnsMessage::mdns_query_ptr("_hue._tcp.local");
-        let mut buf = Vec::new();
-        msg.encode(&mut buf);
-        let decoded = DnsMessage::decode(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(decoded.id, 0);
-        assert!(!decoded.recursion_desired);
-        assert_eq!(decoded.questions[0].qtype, TYPE_PTR);
+    fn query_layout() {
+        let buf = encoded(&DnsMessage::query_a(0x1234, "api.example.com"));
+        assert_eq!(buf[..12], [0x12, 0x34, 0x01, 0, 0, 1, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(buf[12..16], [3, b'a', b'p', b'i']);
+        assert_eq!(message_end(&buf), Some(buf.len()));
     }
 
     #[test]
-    fn mdns_announce_round_trip() {
-        let msg = DnsMessage::mdns_announce("_ssdp._udp.local", "bridge-0042");
-        let mut buf = Vec::new();
-        msg.encode(&mut buf);
-        let decoded = DnsMessage::decode(&mut Reader::new(&buf)).unwrap();
-        assert!(decoded.response);
-        assert_eq!(decoded.answers.len(), 2);
-        assert_eq!(decoded.answers[0].rtype, TYPE_PTR);
-        assert_eq!(decoded.answers[1].rtype, TYPE_TXT);
+    fn mdns_messages_are_recognised() {
+        let query = encoded(&DnsMessage::mdns_query_ptr("_hue._tcp.local"));
+        assert_eq!(query[..4], [0, 0, 0, 0], "id 0, no recursion");
+        assert!(is_message(&query));
+        let announce = encoded(&DnsMessage::mdns_announce(
+            "_ssdp._udp.local",
+            "bridge-0042",
+        ));
+        assert_eq!(announce[6..8], [0, 2], "two answers");
+        assert_eq!(message_end(&announce), Some(announce.len()));
     }
 
     #[test]
-    fn response_a_round_trip() {
-        let msg = DnsMessage::response_a(9, "time.example.org", Ipv4Addr::new(10, 1, 2, 3));
-        let mut buf = Vec::new();
-        msg.encode(&mut buf);
-        let decoded = DnsMessage::decode(&mut Reader::new(&buf)).unwrap();
-        assert!(decoded.response);
-        assert_eq!(decoded.answers[0].rdata, vec![10, 1, 2, 3]);
+    fn response_a_is_recognised() {
+        let buf = encoded(&DnsMessage::response_a(
+            9,
+            "time.example.org",
+            Ipv4Addr::new(10, 1, 2, 3),
+        ));
+        assert!(buf.ends_with(&[0, 4, 10, 1, 2, 3]));
+        assert!(is_message(&buf));
+    }
+
+    /// Hand-built: header, question "a.b", answer whose name points at
+    /// offset 12 (the question name).
+    fn compressed() -> Vec<u8> {
+        let mut buf = vec![0, 1, 0x80, 0, 0, 1, 0, 1, 0, 0, 0, 0];
+        buf.extend_from_slice(&[1, b'a', 1, b'b', 0]);
+        buf.extend_from_slice(&[0, 1, 0, 1]);
+        buf.extend_from_slice(&[0xc0, 12]);
+        buf.extend_from_slice(&[0, 1, 0, 1, 0, 0, 1, 44, 0, 4, 1, 2, 3, 4]);
+        buf
     }
 
     #[test]
-    fn compression_pointer_is_followed() {
-        // Hand-build: header, question "a.b", answer with name pointer
-        // to offset 12 (the question name).
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&[0, 1, 0x80, 0, 0, 1, 0, 1, 0, 0, 0, 0]);
-        buf.extend_from_slice(&[1, b'a', 1, b'b', 0]); // "a.b" at offset 12
-        buf.extend_from_slice(&TYPE_A.to_be_bytes());
-        buf.extend_from_slice(&CLASS_IN.to_be_bytes());
-        buf.extend_from_slice(&[0xc0, 12]); // pointer to offset 12
-        buf.extend_from_slice(&TYPE_A.to_be_bytes());
-        buf.extend_from_slice(&CLASS_IN.to_be_bytes());
-        buf.extend_from_slice(&300u32.to_be_bytes());
-        buf.extend_from_slice(&4u16.to_be_bytes());
-        buf.extend_from_slice(&[1, 2, 3, 4]);
-        let decoded = DnsMessage::decode(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(decoded.answers[0].name, "a.b");
+    fn one_compression_pointer_is_followed() {
+        let buf = compressed();
+        assert_eq!(message_end(&buf), Some(buf.len()));
+        let mut nested = buf.clone();
+        nested[22] = 21; // the pointed-to name is a pointer itself
+        assert!(!is_message(&nested));
+        let mut outside = buf;
+        outside[22] = 0xc0 | 0x3f; // pointer past the message
+        assert!(!is_message(&outside));
     }
 
     #[test]
-    fn truncated_errors() {
-        let msg = DnsMessage::query_a(1, "example.com");
-        let mut buf = Vec::new();
-        msg.encode(&mut buf);
-        buf.truncate(6);
-        assert!(DnsMessage::decode(&mut Reader::new(&buf)).is_err());
+    fn truncated_messages_are_not_dns() {
+        let buf = encoded(&DnsMessage::query_a(1, "example.com"));
+        for cut in [6, 12, 20, buf.len() - 1] {
+            assert!(!is_message(&buf[..cut]), "cut at {cut}");
+        }
+        let buf = compressed();
+        assert!(!is_message(&buf[..buf.len() - 1]), "rdata cut short");
     }
 }

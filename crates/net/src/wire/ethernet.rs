@@ -2,9 +2,7 @@
 
 use bytes::BufMut;
 
-use crate::error::WireError;
 use crate::mac::MacAddr;
-use crate::wire::Reader;
 
 /// Minimum Ethernet frame length on the wire (without FCS).
 pub const MIN_FRAME_LEN: usize = 60;
@@ -40,20 +38,6 @@ pub enum EthernetHeader {
 }
 
 impl EthernetHeader {
-    /// Source MAC of either framing variant.
-    pub fn src(&self) -> MacAddr {
-        match self {
-            EthernetHeader::TypeII { src, .. } | EthernetHeader::Llc { src, .. } => *src,
-        }
-    }
-
-    /// Destination MAC of either framing variant.
-    pub fn dst(&self) -> MacAddr {
-        match self {
-            EthernetHeader::TypeII { dst, .. } | EthernetHeader::Llc { dst, .. } => *dst,
-        }
-    }
-
     /// Encodes the header into `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -83,37 +67,6 @@ impl EthernetHeader {
             }
         }
     }
-
-    /// Decodes a header from `r`, leaving the reader positioned at the
-    /// start of the payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Truncated`] if fewer than 14 bytes remain.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let dst = MacAddr::new(r.read_array::<6>("ethernet dst")?);
-        let src = MacAddr::new(r.read_array::<6>("ethernet src")?);
-        let type_or_len = r.read_u16("ethernet type/length")?;
-        if type_or_len <= 1500 {
-            let dsap = r.read_u8("llc dsap")?;
-            let ssap = r.read_u8("llc ssap")?;
-            let control = r.read_u8("llc control")?;
-            Ok(EthernetHeader::Llc {
-                dst,
-                src,
-                length: type_or_len,
-                dsap,
-                ssap,
-                control,
-            })
-        } else {
-            Ok(EthernetHeader::TypeII {
-                dst,
-                src,
-                ethertype: type_or_len,
-            })
-        }
-    }
 }
 
 /// Pads `frame` with zero bytes up to the Ethernet minimum of 60 bytes
@@ -133,58 +86,33 @@ mod tests {
     }
 
     #[test]
-    fn type_ii_round_trip() {
-        let hdr = EthernetHeader::TypeII {
+    fn type_ii_layout() {
+        let mut buf = Vec::new();
+        EthernetHeader::TypeII {
             dst: mac(1),
             src: mac(2),
             ethertype: 0x0800,
-        };
-        let mut buf = Vec::new();
-        hdr.encode(&mut buf);
+        }
+        .encode(&mut buf);
         assert_eq!(buf.len(), 14);
-        let mut r = Reader::new(&buf);
-        assert_eq!(EthernetHeader::decode(&mut r).unwrap(), hdr);
+        assert_eq!(buf[..6], mac(1).octets());
+        assert_eq!(buf[6..12], mac(2).octets());
+        assert_eq!(buf[12..], [0x08, 0x00]);
     }
 
     #[test]
-    fn llc_round_trip() {
-        let hdr = EthernetHeader::Llc {
+    fn llc_layout() {
+        let mut buf = Vec::new();
+        EthernetHeader::Llc {
             dst: mac(1),
             src: mac(2),
             length: 38,
             dsap: 0x42,
             ssap: 0x42,
             control: 0x03,
-        };
-        let mut buf = Vec::new();
-        hdr.encode(&mut buf);
-        assert_eq!(buf.len(), 17);
-        let mut r = Reader::new(&buf);
-        assert_eq!(EthernetHeader::decode(&mut r).unwrap(), hdr);
-    }
-
-    #[test]
-    fn length_field_value_1500_is_llc() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&mac(1).octets());
-        buf.extend_from_slice(&mac(2).octets());
-        buf.extend_from_slice(&1500u16.to_be_bytes());
-        buf.extend_from_slice(&[0xaa, 0xaa, 0x03]);
-        let mut r = Reader::new(&buf);
-        assert!(matches!(
-            EthernetHeader::decode(&mut r).unwrap(),
-            EthernetHeader::Llc { .. }
-        ));
-    }
-
-    #[test]
-    fn truncated_header_errors() {
-        let buf = [0u8; 10];
-        let mut r = Reader::new(&buf);
-        assert!(matches!(
-            EthernetHeader::decode(&mut r),
-            Err(WireError::Truncated { .. })
-        ));
+        }
+        .encode(&mut buf);
+        assert_eq!(buf[12..], [0, 38, 0x42, 0x42, 0x03]);
     }
 
     #[test]

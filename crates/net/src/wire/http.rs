@@ -7,7 +7,7 @@
 
 use bytes::BufMut;
 
-use crate::error::WireError;
+use crate::protocol::AppProtocol;
 
 /// Recognised HTTP request methods.
 const METHODS: [&str; 7] = ["GET", "POST", "PUT", "DELETE", "HEAD", "OPTIONS", "PATCH"];
@@ -73,40 +73,21 @@ impl HttpRequest {
     }
 }
 
-/// Classification result for a TCP payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TcpPayloadKind {
-    /// HTTP request with the given method.
-    HttpRequest(String),
-    /// HTTP response (status line).
-    HttpResponse,
-    /// A TLS record with the given content type (22 = handshake).
-    Tls(u8),
-    /// Unrecognised bytes.
-    Opaque,
-}
-
-/// Classifies a TCP payload as HTTP text, TLS record or opaque bytes —
-/// the same level of insight a passive monitor has.
-pub fn classify_tcp_payload(payload: &[u8]) -> TcpPayloadKind {
-    if payload.is_empty() {
-        return TcpPayloadKind::Opaque;
-    }
+/// Recognises a TCP payload as a TLS record (HTTPS) or HTTP request or
+/// response text — the same level of insight a passive monitor has.
+/// `None` for anything else.
+pub(crate) fn recognise(payload: &[u8]) -> Option<AppProtocol> {
     // TLS record header: content type 20-23, version major 3.
     if payload.len() >= 3 && (20..=23).contains(&payload[0]) && payload[1] == 3 {
-        return TcpPayloadKind::Tls(payload[0]);
+        return Some(AppProtocol::Https);
     }
-    if let Ok(text) = std::str::from_utf8(&payload[..payload.len().min(96)]) {
-        if text.starts_with("HTTP/1.") {
-            return TcpPayloadKind::HttpResponse;
-        }
-        for m in METHODS {
-            if text.starts_with(m) && text.as_bytes().get(m.len()) == Some(&b' ') {
-                return TcpPayloadKind::HttpRequest(m.to_string());
-            }
-        }
-    }
-    TcpPayloadKind::Opaque
+    let head = &payload[..payload.len().min(96)];
+    let http = std::str::from_utf8(head).is_ok()
+        && (head.starts_with(b"HTTP/1.")
+            || METHODS
+                .iter()
+                .any(|m| head.starts_with(m.as_bytes()) && head.get(m.len()) == Some(&b' ')));
+    http.then_some(AppProtocol::Http)
 }
 
 /// A minimal TLS ClientHello record carrying an SNI host name — enough
@@ -158,35 +139,6 @@ impl TlsClientHello {
         out.put_u16(sni.len() as u16);
         out.put_slice(sni);
     }
-
-    /// Extracts the SNI from an encoded ClientHello record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::InvalidField`] if the record is not a
-    /// handshake ClientHello with an SNI extension.
-    pub fn decode_sni(record: &[u8]) -> Result<String, WireError> {
-        if record.len() < 5 || record[0] != 22 {
-            return Err(WireError::invalid_field("tls record", "not a handshake"));
-        }
-        // Scan for the server_name extension marker rather than fully
-        // parsing: type 0x0000 followed by plausible lengths.
-        let mut i = 5;
-        while i + 9 <= record.len() {
-            if record[i] == 0 && record[i + 1] == 0 {
-                let name_len = u16::from_be_bytes([record[i + 7], record[i + 8]]) as usize;
-                let start = i + 9;
-                if start + name_len <= record.len() {
-                    let name = &record[start..start + name_len];
-                    if !name.is_empty() && name.iter().all(|b| b.is_ascii_graphic()) {
-                        return Ok(String::from_utf8_lossy(name).into_owned());
-                    }
-                }
-            }
-            i += 1;
-        }
-        Err(WireError::invalid_field("tls client hello", "no sni"))
-    }
 }
 
 #[cfg(test)]
@@ -201,10 +153,7 @@ mod tests {
         let text = String::from_utf8(buf.clone()).unwrap();
         assert!(text.starts_with("GET /v1/register HTTP/1.1\r\n"));
         assert!(text.contains("Host: api.example.com\r\n"));
-        assert_eq!(
-            classify_tcp_payload(&buf),
-            TcpPayloadKind::HttpRequest("GET".into())
-        );
+        assert_eq!(recognise(&buf), Some(AppProtocol::Http));
     }
 
     #[test]
@@ -213,45 +162,31 @@ mod tests {
         let mut buf = Vec::new();
         req.encode(&mut buf);
         assert!(buf.ends_with(b"{\"k\":1}"));
+        assert_eq!(recognise(&buf), Some(AppProtocol::Http));
+    }
+
+    #[test]
+    fn http_response_is_http() {
         assert_eq!(
-            classify_tcp_payload(&buf),
-            TcpPayloadKind::HttpRequest("POST".into())
+            recognise(b"HTTP/1.1 200 OK\r\n\r\n"),
+            Some(AppProtocol::Http)
         );
     }
 
     #[test]
-    fn http_response_classification() {
-        assert_eq!(
-            classify_tcp_payload(b"HTTP/1.1 200 OK\r\n\r\n"),
-            TcpPayloadKind::HttpResponse
-        );
+    fn tls_records_are_https() {
+        let mut hello = Vec::new();
+        TlsClientHello::new("cloud.vendor.example").encode(&mut hello);
+        assert_eq!(recognise(&hello), Some(AppProtocol::Https));
+        assert!(hello.ends_with(b"cloud.vendor.example"));
+        assert_eq!(recognise(&[23, 3, 3, 0, 16, 1]), Some(AppProtocol::Https));
     }
 
     #[test]
-    fn tls_hello_round_trip_sni() {
-        let hello = TlsClientHello::new("cloud.vendor.example");
-        let mut buf = Vec::new();
-        hello.encode(&mut buf);
-        assert_eq!(classify_tcp_payload(&buf), TcpPayloadKind::Tls(22));
-        assert_eq!(
-            TlsClientHello::decode_sni(&buf).unwrap(),
-            "cloud.vendor.example"
-        );
-    }
-
-    #[test]
-    fn opaque_payloads() {
-        assert_eq!(classify_tcp_payload(b""), TcpPayloadKind::Opaque);
-        assert_eq!(
-            classify_tcp_payload(&[0x00, 0x01, 0x02]),
-            TcpPayloadKind::Opaque
-        );
-        assert_eq!(classify_tcp_payload(b"GETX/"), TcpPayloadKind::Opaque);
-    }
-
-    #[test]
-    fn tls_application_data() {
-        let payload = [23u8, 3, 3, 0, 16, 1, 2, 3];
-        assert_eq!(classify_tcp_payload(&payload), TcpPayloadKind::Tls(23));
+    fn other_payloads_are_not_recognised() {
+        assert_eq!(recognise(b""), None);
+        assert_eq!(recognise(&[0x00, 0x01, 0x02]), None);
+        assert_eq!(recognise(b"GETX/"), None);
+        assert_eq!(recognise(b"GET \xff"), None, "not text");
     }
 }

@@ -1,13 +1,10 @@
-//! IPv4 header encoding and decoding, including the two header options
+//! IPv4 header encoding, including the two header options
 //! the IoT Sentinel fingerprint observes: padding (NOP/EOL) and Router
 //! Alert (RFC 2113, carried by IGMP membership messages).
 
 use std::net::Ipv4Addr;
 
 use bytes::BufMut;
-
-use crate::error::WireError;
-use crate::wire::Reader;
 
 /// An IPv4 header option.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,14 +26,9 @@ impl Ipv4Option {
             Ipv4Option::RouterAlert(_) => 4,
         }
     }
-
-    /// Whether this option is padding for fingerprint purposes.
-    pub fn is_padding(self) -> bool {
-        matches!(self, Ipv4Option::EndOfOptions | Ipv4Option::Nop)
-    }
 }
 
-/// A decoded IPv4 header.
+/// An IPv4 header to encode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ipv4Header {
     /// Differentiated services code point (6 bits) + ECN (2 bits).
@@ -55,9 +47,6 @@ pub struct Ipv4Header {
     pub dst: Ipv4Addr,
     /// Header options, in wire order.
     pub options: Vec<Ipv4Option>,
-    /// Total length field (header + payload). Filled in by
-    /// [`Ipv4Header::encode`]; on decode, reflects the wire value.
-    pub total_len: u16,
 }
 
 impl Ipv4Header {
@@ -72,7 +61,6 @@ impl Ipv4Header {
             src,
             dst,
             options: Vec::new(),
-            total_len: 0,
         }
     }
 
@@ -91,18 +79,6 @@ impl Ipv4Header {
         self.options.push(Ipv4Option::EndOfOptions);
         self.options.push(Ipv4Option::EndOfOptions);
         self
-    }
-
-    /// Whether any option is padding.
-    pub fn has_padding(&self) -> bool {
-        self.options.iter().any(|o| o.is_padding())
-    }
-
-    /// Whether a Router Alert option is present.
-    pub fn has_router_alert(&self) -> bool {
-        self.options
-            .iter()
-            .any(|o| matches!(o, Ipv4Option::RouterAlert(_)))
     }
 
     /// Header length in bytes including options (always a multiple of
@@ -150,71 +126,6 @@ impl Ipv4Header {
         out[start + 10] = (checksum >> 8) as u8;
         out[start + 11] = (checksum & 0xff) as u8;
     }
-
-    /// Decodes a header, leaving `r` positioned at the payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Truncated`] on short input and
-    /// [`WireError::InvalidField`] on a bad version or IHL.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let ver_ihl = r.read_u8("ipv4 version/ihl")?;
-        if ver_ihl >> 4 != 4 {
-            return Err(WireError::invalid_field("ipv4 version", ver_ihl >> 4));
-        }
-        let ihl = (ver_ihl & 0x0f) as usize;
-        if ihl < 5 {
-            return Err(WireError::invalid_field("ipv4 ihl", ihl));
-        }
-        let dscp_ecn = r.read_u8("ipv4 dscp")?;
-        let total_len = r.read_u16("ipv4 total length")?;
-        let identification = r.read_u16("ipv4 identification")?;
-        let flags_frag = r.read_u16("ipv4 flags")?;
-        let ttl = r.read_u8("ipv4 ttl")?;
-        let protocol = r.read_u8("ipv4 protocol")?;
-        let _checksum = r.read_u16("ipv4 checksum")?;
-        let src = Ipv4Addr::from(r.read_array::<4>("ipv4 src")?);
-        let dst = Ipv4Addr::from(r.read_array::<4>("ipv4 dst")?);
-        let mut options = Vec::new();
-        let mut remaining = ihl * 4 - 20;
-        while remaining > 0 {
-            let t = r.read_u8("ipv4 option type")?;
-            remaining -= 1;
-            match t {
-                0 => options.push(Ipv4Option::EndOfOptions),
-                1 => options.push(Ipv4Option::Nop),
-                148 => {
-                    let len = r.read_u8("ipv4 router alert length")?;
-                    if len != 4 {
-                        return Err(WireError::invalid_field("ipv4 router alert length", len));
-                    }
-                    let v = r.read_u16("ipv4 router alert value")?;
-                    options.push(Ipv4Option::RouterAlert(v));
-                    remaining = remaining.saturating_sub(3);
-                }
-                other => {
-                    // Skip unknown TLV options.
-                    let len = r.read_u8("ipv4 option length")? as usize;
-                    if len < 2 {
-                        return Err(WireError::invalid_field("ipv4 option length", other));
-                    }
-                    r.skip("ipv4 option data", len - 2)?;
-                    remaining = remaining.saturating_sub(len - 1);
-                }
-            }
-        }
-        Ok(Ipv4Header {
-            dscp_ecn,
-            identification,
-            dont_fragment: flags_frag & 0x4000 != 0,
-            ttl,
-            protocol,
-            src,
-            dst,
-            options,
-            total_len,
-        })
-    }
 }
 
 /// RFC 1071 internet checksum.
@@ -238,7 +149,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plain_header_round_trip() {
+    fn plain_header_layout() {
         let hdr = Ipv4Header::new(
             Ipv4Addr::new(192, 168, 1, 50),
             Ipv4Addr::new(192, 168, 1, 1),
@@ -247,35 +158,30 @@ mod tests {
         let mut buf = Vec::new();
         hdr.encode(&mut buf, 100);
         assert_eq!(buf.len(), 20);
-        let decoded = Ipv4Header::decode(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(decoded.src, hdr.src);
-        assert_eq!(decoded.dst, hdr.dst);
-        assert_eq!(decoded.protocol, 17);
-        assert_eq!(decoded.total_len, 120);
-        assert!(!decoded.has_padding());
-        assert!(!decoded.has_router_alert());
+        assert_eq!(buf[0], 0x45);
+        assert_eq!(buf[2..4], 120u16.to_be_bytes());
+        assert_eq!(buf[9], 17);
+        assert_eq!(buf[16..20], [192, 168, 1, 1]);
     }
 
     #[test]
-    fn router_alert_round_trip() {
+    fn router_alert_option_layout() {
         let hdr = Ipv4Header::new(Ipv4Addr::new(10, 0, 0, 9), Ipv4Addr::new(224, 0, 0, 22), 2)
             .with_router_alert();
         let mut buf = Vec::new();
         hdr.encode(&mut buf, 8);
         assert_eq!(buf.len(), 24);
-        let decoded = Ipv4Header::decode(&mut Reader::new(&buf)).unwrap();
-        assert!(decoded.has_router_alert());
-        assert!(!decoded.has_padding());
+        assert_eq!(buf[0], 0x46);
+        assert_eq!(buf[20..], [148, 4, 0, 0]);
     }
 
     #[test]
-    fn padding_round_trip() {
+    fn padding_option_layout() {
         let hdr = Ipv4Header::new(Ipv4Addr::LOCALHOST, Ipv4Addr::LOCALHOST, 6).with_padding();
         let mut buf = Vec::new();
         hdr.encode(&mut buf, 0);
         assert_eq!(buf.len(), 24);
-        let decoded = Ipv4Header::decode(&mut Reader::new(&buf)).unwrap();
-        assert!(decoded.has_padding());
+        assert_eq!(buf[20..], [1, 1, 0, 0]);
     }
 
     #[test]
@@ -285,14 +191,6 @@ mod tests {
         hdr.encode(&mut buf, 32);
         // Re-checksumming a valid header yields zero.
         assert_eq!(internet_checksum(&buf), 0);
-    }
-
-    #[test]
-    fn rejects_wrong_version() {
-        let mut buf = Vec::new();
-        Ipv4Header::new(Ipv4Addr::LOCALHOST, Ipv4Addr::LOCALHOST, 6).encode(&mut buf, 0);
-        buf[0] = 0x65; // version 6
-        assert!(Ipv4Header::decode(&mut Reader::new(&buf)).is_err());
     }
 
     #[test]

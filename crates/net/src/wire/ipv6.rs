@@ -1,17 +1,14 @@
-//! IPv6 header encoding and decoding, including the hop-by-hop Router
+//! IPv6 header encoding, including the hop-by-hop Router
 //! Alert option carried by MLD multicast listener reports.
 
 use std::net::Ipv6Addr;
 
 use bytes::BufMut;
 
-use crate::error::WireError;
-use crate::wire::Reader;
-
 /// Next-header value for the hop-by-hop options extension header.
 pub const NEXT_HEADER_HOP_BY_HOP: u8 = 0;
 
-/// A decoded IPv6 header (fixed part plus an optional hop-by-hop
+/// An IPv6 header to encode (fixed part plus an optional hop-by-hop
 /// extension carrying Router Alert).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ipv6Header {
@@ -29,8 +26,6 @@ pub struct Ipv6Header {
     pub dst: Ipv6Addr,
     /// Whether a hop-by-hop Router Alert option is present.
     pub router_alert: bool,
-    /// Payload length field from the wire (filled by encode).
-    pub payload_len: u16,
 }
 
 impl Ipv6Header {
@@ -45,7 +40,6 @@ impl Ipv6Header {
             src,
             dst,
             router_alert: false,
-            payload_len: 0,
         }
     }
 
@@ -89,57 +83,6 @@ impl Ipv6Header {
             out.put_slice(&[0x05, 0x02, 0x00, 0x00, 0x01, 0x00]);
         }
     }
-
-    /// Decodes a header, leaving `r` positioned at the payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Truncated`] on short input and
-    /// [`WireError::InvalidField`] on a bad version field.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let first = r.read_u32("ipv6 version/class/flow")?;
-        if first >> 28 != 6 {
-            return Err(WireError::invalid_field("ipv6 version", first >> 28));
-        }
-        let traffic_class = ((first >> 20) & 0xff) as u8;
-        let flow_label = first & 0x000f_ffff;
-        let payload_len = r.read_u16("ipv6 payload length")?;
-        let mut protocol = r.read_u8("ipv6 next header")?;
-        let hop_limit = r.read_u8("ipv6 hop limit")?;
-        let src = Ipv6Addr::from(r.read_array::<16>("ipv6 src")?);
-        let dst = Ipv6Addr::from(r.read_array::<16>("ipv6 dst")?);
-        let mut router_alert = false;
-        if protocol == NEXT_HEADER_HOP_BY_HOP {
-            let next = r.read_u8("hop-by-hop next header")?;
-            let hbh_len = r.read_u8("hop-by-hop length")? as usize;
-            let opt_bytes = 6 + hbh_len * 8;
-            let opts = r.read_slice("hop-by-hop options", opt_bytes)?;
-            let mut i = 0;
-            while i < opts.len() {
-                match opts[i] {
-                    0 => i += 1, // Pad1
-                    5 => {
-                        router_alert = true;
-                        i += 2 + opts.get(i + 1).copied().unwrap_or(0) as usize;
-                    }
-                    _ => {
-                        i += 2 + opts.get(i + 1).copied().unwrap_or(0) as usize;
-                    }
-                }
-            }
-            protocol = next;
-        }
-        Ok(Ipv6Header {
-            traffic_class,
-            flow_label,
-            hop_limit,
-            protocol,
-            src,
-            dst,
-            router_alert,
-            payload_len,
-        })
-    }
 }
 
 /// The link-local address a device derives from its MAC via EUI-64.
@@ -173,7 +116,7 @@ mod tests {
     use crate::MacAddr;
 
     #[test]
-    fn plain_round_trip() {
+    fn plain_header_layout() {
         let hdr = Ipv6Header::new(
             link_local_from_mac(MacAddr::new([2, 0, 0, 0, 0, 7])),
             all_routers(),
@@ -182,15 +125,13 @@ mod tests {
         let mut buf = Vec::new();
         hdr.encode(&mut buf, 24);
         assert_eq!(buf.len(), 40);
-        let decoded = Ipv6Header::decode(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(decoded.protocol, 58);
-        assert_eq!(decoded.src, hdr.src);
-        assert!(!decoded.router_alert);
-        assert_eq!(decoded.payload_len, 24);
+        assert_eq!(buf[0] >> 4, 6);
+        assert_eq!(buf[4..8], [0, 24, 58, 255]);
+        assert_eq!(buf[24..40], all_routers().octets());
     }
 
     #[test]
-    fn router_alert_round_trip() {
+    fn router_alert_adds_hop_by_hop_header() {
         let hdr = Ipv6Header::new(
             link_local_from_mac(MacAddr::new([2, 0, 0, 0, 0, 7])),
             all_mld_routers(),
@@ -200,18 +141,8 @@ mod tests {
         let mut buf = Vec::new();
         hdr.encode(&mut buf, 28);
         assert_eq!(buf.len(), 48);
-        let decoded = Ipv6Header::decode(&mut Reader::new(&buf)).unwrap();
-        assert!(decoded.router_alert);
-        assert_eq!(decoded.protocol, 58);
-        assert_eq!(decoded.payload_len, 36); // 28 + 8 hop-by-hop
-    }
-
-    #[test]
-    fn rejects_wrong_version() {
-        let mut buf = Vec::new();
-        Ipv6Header::new(Ipv6Addr::LOCALHOST, Ipv6Addr::LOCALHOST, 17).encode(&mut buf, 0);
-        buf[0] = 0x45;
-        assert!(Ipv6Header::decode(&mut Reader::new(&buf)).is_err());
+        assert_eq!(buf[4..7], [0, 36, NEXT_HEADER_HOP_BY_HOP]); // 28 + 8 hop-by-hop
+        assert_eq!(buf[40..44], [58, 0, 5, 2]);
     }
 
     #[test]

@@ -1,10 +1,7 @@
-//! NTP (RFC 5905) packet encoding and decoding — the 48-byte fixed
+//! NTP (RFC 5905) packet encoding and recognition — the 48-byte fixed
 //! header, which is all IoT clients exchange during time sync.
 
 use bytes::BufMut;
-
-use crate::error::WireError;
-use crate::wire::Reader;
 
 /// NTP mode: client request.
 pub const MODE_CLIENT: u8 = 3;
@@ -71,35 +68,12 @@ impl NtpPacket {
         out.put_u64(0); // receive timestamp
         out.put_u64(self.transmit_timestamp);
     }
+}
 
-    /// Decodes a packet.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Truncated`] if fewer than 48 bytes remain
-    /// and [`WireError::InvalidField`] for an invalid mode.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let first = r.read_u8("ntp li/vn/mode")?;
-        let mode = first & 0x07;
-        if mode == 0 || mode > 7 {
-            return Err(WireError::invalid_field("ntp mode", mode));
-        }
-        let stratum = r.read_u8("ntp stratum")?;
-        let poll = r.read_u8("ntp poll")? as i8;
-        let precision = r.read_u8("ntp precision")? as i8;
-        r.skip("ntp root fields", 12)?;
-        r.skip("ntp timestamps", 24)?;
-        let transmit_timestamp = r.read_u64("ntp transmit timestamp")?;
-        Ok(NtpPacket {
-            leap: first >> 6,
-            version: (first >> 3) & 0x07,
-            mode,
-            stratum,
-            poll,
-            precision,
-            transmit_timestamp,
-        })
-    }
+/// Whether a UDP payload is an NTP packet: the 48-byte fixed header
+/// with a non-zero association mode.
+pub(crate) fn is_packet(payload: &[u8]) -> bool {
+    payload.len() >= 48 && payload[0] & 0x07 != 0
 }
 
 #[cfg(test)]
@@ -107,41 +81,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn client_round_trip() {
-        let pkt = NtpPacket::client(0xdead_beef_0000_0001);
+    fn client_layout() {
         let mut buf = Vec::new();
-        pkt.encode(&mut buf);
+        NtpPacket::client(0xdead_beef_0000_0001).encode(&mut buf);
         assert_eq!(buf.len(), 48);
-        let decoded = NtpPacket::decode(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(decoded, pkt);
+        assert_eq!(buf[0], 0x23, "version 4, client mode");
+        assert_eq!(buf[40..], 0xdead_beef_0000_0001u64.to_be_bytes());
+        assert!(is_packet(&buf));
     }
 
     #[test]
     fn server_mode() {
-        let pkt = NtpPacket::server(7);
         let mut buf = Vec::new();
-        pkt.encode(&mut buf);
-        let decoded = NtpPacket::decode(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(decoded.mode, MODE_SERVER);
-        assert_eq!(decoded.stratum, 2);
+        NtpPacket::server(7).encode(&mut buf);
+        assert_eq!(buf[0] & 0x07, MODE_SERVER);
+        assert_eq!(buf[1], 2, "stratum");
     }
 
     #[test]
-    fn rejects_mode_zero() {
+    fn rejects_mode_zero_and_short_packets() {
         let mut buf = Vec::new();
         NtpPacket::client(0).encode(&mut buf);
-        buf[0] &= !0x07; // mode 0
-        assert!(NtpPacket::decode(&mut Reader::new(&buf)).is_err());
-    }
-
-    #[test]
-    fn truncated_errors() {
-        let mut buf = Vec::new();
-        NtpPacket::client(0).encode(&mut buf);
-        buf.truncate(40);
-        assert!(matches!(
-            NtpPacket::decode(&mut Reader::new(&buf)),
-            Err(WireError::Truncated { .. })
-        ));
+        assert!(!is_packet(&buf[..47]));
+        buf[0] &= !0x07;
+        assert!(!is_packet(&buf));
     }
 }

@@ -4,8 +4,6 @@
 
 use std::fmt::Write as _;
 
-use crate::error::WireError;
-
 /// SSDP multicast group address 239.255.255.250.
 pub const SSDP_GROUP: std::net::Ipv4Addr = std::net::Ipv4Addr::new(239, 255, 255, 250);
 
@@ -16,8 +14,6 @@ pub enum SsdpMethod {
     MSearch,
     /// `NOTIFY * HTTP/1.1` — presence announcement.
     Notify,
-    /// `HTTP/1.1 200 OK` — unicast search response.
-    Response,
 }
 
 impl SsdpMethod {
@@ -26,16 +22,6 @@ impl SsdpMethod {
         match self {
             SsdpMethod::MSearch => "M-SEARCH * HTTP/1.1",
             SsdpMethod::Notify => "NOTIFY * HTTP/1.1",
-            SsdpMethod::Response => "HTTP/1.1 200 OK",
-        }
-    }
-
-    /// The canonical method token (used by the packet summary).
-    pub fn token(self) -> &'static str {
-        match self {
-            SsdpMethod::MSearch => "M-SEARCH",
-            SsdpMethod::Notify => "NOTIFY",
-            SsdpMethod::Response => "RESPONSE",
         }
     }
 }
@@ -78,14 +64,6 @@ impl SsdpMessage {
         }
     }
 
-    /// Looks up a header value by case-insensitive name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
     /// Encodes the message as CRLF-delimited text.
     pub fn encode(&self, out: &mut Vec<u8>) {
         let mut text = String::new();
@@ -96,40 +74,15 @@ impl SsdpMessage {
         text.push_str("\r\n");
         out.extend_from_slice(text.as_bytes());
     }
+}
 
-    /// Decodes a message from UDP payload bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::InvalidUtf8`] for non-text payloads and
-    /// [`WireError::InvalidField`] for an unrecognised start line.
-    pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let text =
-            std::str::from_utf8(payload).map_err(|_| WireError::InvalidUtf8 { context: "ssdp" })?;
-        let mut lines = text.split("\r\n");
-        let start = lines
-            .next()
-            .ok_or_else(|| WireError::invalid_field("ssdp start line", "missing"))?;
-        let method = if start.starts_with("M-SEARCH") {
-            SsdpMethod::MSearch
-        } else if start.starts_with("NOTIFY") {
-            SsdpMethod::Notify
-        } else if start.starts_with("HTTP/1.1 200") {
-            SsdpMethod::Response
-        } else {
-            return Err(WireError::invalid_field("ssdp start line", start));
-        };
-        let mut headers = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                break;
-            }
-            if let Some((k, v)) = line.split_once(':') {
-                headers.push((k.trim().to_string(), v.trim().to_string()));
-            }
-        }
-        Ok(SsdpMessage { method, headers })
-    }
+/// Whether a UDP payload is an SSDP message: UTF-8 text opening with
+/// an M-SEARCH, NOTIFY or `HTTP/1.1 200` start line.
+pub(crate) fn is_message(payload: &[u8]) -> bool {
+    std::str::from_utf8(payload).is_ok()
+        && [&b"M-SEARCH"[..], b"NOTIFY", b"HTTP/1.1 200"]
+            .iter()
+            .any(|start| payload.starts_with(start))
 }
 
 #[cfg(test)]
@@ -137,17 +90,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn msearch_round_trip() {
+    fn msearch_encodes_as_crlf_text() {
         let msg = SsdpMessage::msearch("urn:dial-multiscreen-org:service:dial:1");
         let mut buf = Vec::new();
         msg.encode(&mut buf);
-        let decoded = SsdpMessage::decode(&buf).unwrap();
-        assert_eq!(decoded, msg);
-        assert_eq!(decoded.method.token(), "M-SEARCH");
+        let text = String::from_utf8(buf.clone()).unwrap();
+        assert!(text.starts_with("M-SEARCH * HTTP/1.1\r\nHOST: 239.255.255.250:1900\r\n"));
+        assert!(text.ends_with("ST: urn:dial-multiscreen-org:service:dial:1\r\n\r\n"));
+        assert!(is_message(&buf));
     }
 
     #[test]
-    fn notify_round_trip_and_header_lookup() {
+    fn notify_is_recognised() {
         let msg = SsdpMessage::notify_alive(
             "upnp:rootdevice",
             "http://192.168.1.50:49152/desc.xml",
@@ -155,31 +109,21 @@ mod tests {
         );
         let mut buf = Vec::new();
         msg.encode(&mut buf);
-        let decoded = SsdpMessage::decode(&buf).unwrap();
-        assert_eq!(decoded.header("nts"), Some("ssdp:alive"));
-        assert_eq!(
-            decoded.header("LOCATION"),
-            Some("http://192.168.1.50:49152/desc.xml")
-        );
+        assert!(buf.starts_with(b"NOTIFY * HTTP/1.1\r\n"));
+        assert!(is_message(&buf));
     }
 
     #[test]
-    fn rejects_binary_payload() {
-        assert!(matches!(
-            SsdpMessage::decode(&[0xff, 0xfe, 0x00]),
-            Err(WireError::InvalidUtf8 { .. })
-        ));
-    }
-
-    #[test]
-    fn rejects_non_ssdp_text() {
-        assert!(SsdpMessage::decode(b"GET / HTTP/1.1\r\n\r\n").is_err());
+    fn rejects_binary_and_non_ssdp_text() {
+        assert!(!is_message(&[0xff, 0xfe, 0x00]));
+        assert!(!is_message(b"NOTIFY \xff"));
+        assert!(!is_message(b"GET / HTTP/1.1\r\n\r\n"));
     }
 
     #[test]
     fn response_start_line() {
-        let buf = b"HTTP/1.1 200 OK\r\nST: upnp:rootdevice\r\n\r\n";
-        let decoded = SsdpMessage::decode(buf).unwrap();
-        assert_eq!(decoded.method, SsdpMethod::Response);
+        assert!(is_message(
+            b"HTTP/1.1 200 OK\r\nST: upnp:rootdevice\r\n\r\n"
+        ));
     }
 }

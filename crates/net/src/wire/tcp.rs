@@ -1,11 +1,43 @@
-//! TCP segment encoding and decoding (header + opaque payload).
+//! TCP segment encoding (header + opaque payload).
 
 use bytes::BufMut;
 
-use crate::error::WireError;
-use crate::packet::TcpFlags;
 use crate::port::Port;
-use crate::wire::Reader;
+
+/// TCP header flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct TcpFlags {
+    /// SYN flag.
+    pub syn: bool,
+    /// ACK flag.
+    pub ack: bool,
+    /// FIN flag.
+    pub fin: bool,
+    /// RST flag.
+    pub rst: bool,
+    /// PSH flag.
+    pub psh: bool,
+}
+
+impl TcpFlags {
+    /// Flags for an initial SYN segment.
+    pub const SYN: TcpFlags = TcpFlags {
+        syn: true,
+        ack: false,
+        fin: false,
+        rst: false,
+        psh: false,
+    };
+
+    /// Encodes the flags into the low byte of the TCP flags field.
+    pub fn to_byte(self) -> u8 {
+        (self.fin as u8)
+            | (self.syn as u8) << 1
+            | (self.rst as u8) << 2
+            | (self.psh as u8) << 3
+            | (self.ack as u8) << 4
+    }
+}
 
 /// A TCP segment: header fields plus payload bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,65 +157,6 @@ impl TcpSegment {
         }
         out.put_slice(&self.payload);
     }
-
-    /// Decodes a segment from the remainder of `r`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Truncated`] on short input and
-    /// [`WireError::InvalidField`] on a data offset below 5.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let src_port = Port::new(r.read_u16("tcp src port")?);
-        let dst_port = Port::new(r.read_u16("tcp dst port")?);
-        let seq = r.read_u32("tcp seq")?;
-        let ack = r.read_u32("tcp ack")?;
-        let offset_byte = r.read_u8("tcp data offset")?;
-        let data_offset = (offset_byte >> 4) as usize;
-        if data_offset < 5 {
-            return Err(WireError::invalid_field("tcp data offset", data_offset));
-        }
-        let flags = TcpFlags::from_byte(r.read_u8("tcp flags")?);
-        let window = r.read_u16("tcp window")?;
-        let _checksum = r.read_u16("tcp checksum")?;
-        let _urgent = r.read_u16("tcp urgent")?;
-        let mut mss = None;
-        let mut opt_remaining = data_offset * 4 - 20;
-        while opt_remaining > 0 {
-            let kind = r.read_u8("tcp option kind")?;
-            opt_remaining -= 1;
-            match kind {
-                0 => break,
-                1 => continue,
-                2 => {
-                    let len = r.read_u8("tcp mss length")?;
-                    if len != 4 {
-                        return Err(WireError::invalid_field("tcp mss length", len));
-                    }
-                    mss = Some(r.read_u16("tcp mss value")?);
-                    opt_remaining = opt_remaining.saturating_sub(3);
-                }
-                _ => {
-                    let len = r.read_u8("tcp option length")? as usize;
-                    if len < 2 {
-                        return Err(WireError::invalid_field("tcp option length", len));
-                    }
-                    r.skip("tcp option data", len - 2)?;
-                    opt_remaining = opt_remaining.saturating_sub(len - 1);
-                }
-            }
-        }
-        let payload = r.read_rest().to_vec();
-        Ok(TcpSegment {
-            src_port,
-            dst_port,
-            seq,
-            ack,
-            flags,
-            window,
-            mss,
-            payload,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -191,49 +164,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn syn_round_trip() {
+    fn syn_layout_carries_mss_option() {
         let seg = TcpSegment::syn(Port::new(51000), Port::HTTPS, 1000);
         let mut buf = Vec::new();
         seg.encode(&mut buf);
         assert_eq!(buf.len(), 24);
-        let decoded = TcpSegment::decode(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(decoded, seg);
-        assert!(decoded.flags.syn);
-        assert_eq!(decoded.mss, Some(1460));
+        assert_eq!(buf[12] >> 4, 6, "data offset in words");
+        assert_eq!(buf[13], 0x02, "SYN");
+        assert_eq!(buf[20..], [2, 4, 0x05, 0xb4]);
     }
 
     #[test]
-    fn push_round_trip_preserves_payload() {
-        let seg = TcpSegment::push(
-            Port::new(51000),
-            Port::HTTP,
-            2000,
-            555,
-            b"GET / HTTP/1.1\r\n\r\n".to_vec(),
-        );
+    fn push_carries_payload_after_header() {
+        let payload = b"GET / HTTP/1.1\r\n\r\n".to_vec();
+        let seg = TcpSegment::push(Port::new(51000), Port::HTTP, 2000, 555, payload.clone());
         let mut buf = Vec::new();
         seg.encode(&mut buf);
-        let decoded = TcpSegment::decode(&mut Reader::new(&buf)).unwrap();
-        assert_eq!(decoded.payload, seg.payload);
-        assert!(decoded.flags.psh);
-        assert!(decoded.flags.ack);
+        assert_eq!(buf[12] >> 4, 5);
+        assert_eq!(buf[13], 0x18, "PSH+ACK");
+        assert_eq!(buf[20..], payload[..]);
     }
 
     #[test]
     fn fin_and_ack_flags() {
         let seg = TcpSegment::fin(Port::new(51000), Port::HTTP, 1, 2);
         assert!(seg.flags.fin && seg.flags.ack && !seg.flags.syn);
+        assert_eq!(seg.flags.to_byte(), 0x11);
         let ack = TcpSegment::ack_only(Port::new(51000), Port::HTTP, 1, 2);
         assert!(ack.flags.ack && !ack.flags.fin);
         assert!(ack.payload.is_empty());
-    }
-
-    #[test]
-    fn rejects_bad_data_offset() {
-        let seg = TcpSegment::ack_only(Port::new(1), Port::new(2), 0, 0);
-        let mut buf = Vec::new();
-        seg.encode(&mut buf);
-        buf[12] = 0x20; // data offset 2
-        assert!(TcpSegment::decode(&mut Reader::new(&buf)).is_err());
     }
 }

@@ -86,15 +86,19 @@ proptest! {
         let pkt = decode_frame(&frame, SimTime::ZERO).expect("valid frame decodes");
         prop_assert!(pkt.is_tcp());
         prop_assert_eq!(pkt.dst_port(), Some(Port::new(dport)));
+        // Any payload is raw data (HTTP, TLS or unrecognised bytes); an
+        // empty segment carries none.
+        prop_assert_eq!(pkt.has_raw_data(), !payload.is_empty());
         if payload.is_empty() {
-            prop_assert!(pkt.app().is_none());
-        } else {
-            prop_assert!(pkt.app().is_some());
+            prop_assert_eq!(
+                pkt.app_protocol(),
+                AppProtocol::from_ports(Some(Port::new(sport)), Some(Port::new(dport)))
+            );
         }
     }
 
-    /// UDP opaque broadcast frames keep their payload length through
-    /// encode/decode regardless of padding.
+    /// UDP opaque broadcast frames are raw data exactly when they carry
+    /// a payload, however the frame is padded.
     #[test]
     fn udp_opaque_length_preserved(len in 0usize..200, fill in any::<u8>()) {
         let dev = MacAddr::new([2, 0, 0, 0, 0, 1]);
@@ -109,14 +113,10 @@ proptest! {
             fill,
         );
         let pkt = decode_frame(&frame, SimTime::ZERO).expect("valid frame decodes");
-        if len > 0 {
-            match pkt.app() {
-                Some(sentinel_net::AppPayload::Opaque { len: got }) => {
-                    prop_assert_eq!(*got, len)
-                }
-                other => prop_assert!(false, "expected opaque payload, got {other:?}"),
-            }
-        }
+        // Ethernet padding never counts as payload: only a non-empty
+        // datagram carries raw data, and neither port names a protocol.
+        prop_assert_eq!(pkt.has_raw_data(), len > 0);
+        prop_assert_eq!(pkt.app_protocol(), None);
         prop_assert!(pkt.wire_len() >= 60, "ethernet minimum");
     }
 

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 ///
 /// Most entries are counters (monotone). [`Counter::ConnectionsActive`]
 /// is the one gauge (it also decrements). The `Client*` entries are
-/// recorded by [`ClientStats`-shaped] gateway-side code, not the
+/// recorded by `ClientStats`-shaped gateway-side code, not the
 /// server; they share the catalog so fleet reports encode client- and
 /// server-side counters in one format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -288,7 +288,7 @@ impl StageShard {
 }
 
 /// The process-wide metrics registry: one atomic slot per [`Counter`]
-/// plus one [`StageShard`] per worker thread.
+/// plus one stage-histogram shard per worker thread.
 ///
 /// Everything on the record side is `&self`, lock-free, and
 /// allocation-free; snapshotting allocates (it builds a

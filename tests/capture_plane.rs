@@ -5,14 +5,54 @@
 //! feature of any packet anywhere in `net`, `devices` or `fingerprint`
 //! changes at least one of them, so a refactor of that path must leave
 //! every constant below untouched.
+//!
+//! A counting global allocator also pins that `decode_frame` reads a
+//! frame in place: it allocates nothing for any simulator frame.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::IpAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use iot_sentinel::devices::{
     catalog, generate_dataset, standby, DeviceProfile, NetworkEnvironment, SetupSimulator,
 };
 use iot_sentinel::fingerprint::{codec, Dataset, PacketFeatures};
 use iot_sentinel::net::wire::decode_frame;
+use iot_sentinel::net::CapturedFrame;
+
+/// The allocation counter is process-global, so every test in this
+/// binary holds this lock for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
 
 /// The paper-gate seed (`fig5_accuracy`, `table3_confusion`).
 const SEED: u64 = 0x5e17_1e57;
@@ -47,20 +87,19 @@ fn dataset_digest(dataset: &Dataset) -> u64 {
 /// Every frame `SetupSimulator` emits for `RUNS` setups of each
 /// profile, gateway frames included, in the order `capture_setups`
 /// simulates them.
-fn for_each_frame(profiles: &[DeviceProfile], mut f: impl FnMut(&[u8], u64)) {
+fn for_each_frame(profiles: &[DeviceProfile], mut f: impl FnMut(&CapturedFrame)) {
     let env = NetworkEnvironment::default();
     for profile in profiles {
         let mut sim = SetupSimulator::new(env.clone(), SEED);
         for run in 0..RUNS {
-            for frame in sim.simulate(profile, run).iter() {
-                f(frame.bytes(), frame.time().as_nanos());
-            }
+            sim.simulate(profile, run).iter().for_each(&mut f);
         }
     }
 }
 
 #[test]
 fn paper_dataset_digest() {
+    let _serial = serial();
     let ds = generate_dataset(
         &catalog::standard_catalog(),
         &NetworkEnvironment::default(),
@@ -73,6 +112,7 @@ fn paper_dataset_digest() {
 
 #[test]
 fn standby_dataset_digest() {
+    let _serial = serial();
     let ds =
         standby::generate_standby_dataset(&NetworkEnvironment::default(), RUNS, SEED ^ 0xa5a5_a5a5);
     assert_eq!(dataset_digest(&ds), 0x3b8f15a87c664fa4);
@@ -80,6 +120,7 @@ fn standby_dataset_digest() {
 
 #[test]
 fn firmware_variant_dataset_digest() {
+    let _serial = serial();
     let ds = generate_dataset(
         &catalog::firmware_variants(),
         &NetworkEnvironment::default(),
@@ -93,11 +134,12 @@ fn firmware_variant_dataset_digest() {
 /// IP and the 23 features (destination counter 0) of every frame.
 #[test]
 fn simulator_frame_digest() {
+    let _serial = serial();
     let mut h = Fnv::new();
     let mut frames = 0usize;
-    for_each_frame(&catalog::standard_catalog(), |bytes, nanos| {
+    for_each_frame(&catalog::standard_catalog(), |frame| {
         frames += 1;
-        let Ok(p) = decode_frame(bytes, iot_sentinel::net::SimTime::from_nanos(nanos)) else {
+        let Ok(p) = decode_frame(frame.bytes(), frame.time()) else {
             h.write(&[0]);
             return;
         };
@@ -121,4 +163,24 @@ fn simulator_frame_digest() {
     });
     assert_eq!(frames, 51_206);
     assert_eq!(h.0, 0xe0595d514dd4baff);
+}
+
+/// Decoding reads every header from the frame where it lies: no frame of
+/// the 540 setups costs `decode_frame` a single allocation.
+#[test]
+fn decode_frame_allocates_nothing() {
+    let _serial = serial();
+    let (mut frames, mut allocations) = (0u64, 0u64);
+    for_each_frame(&catalog::standard_catalog(), |frame| {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let packet = decode_frame(frame.bytes(), frame.time());
+        allocations += ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert!(packet.is_ok(), "simulator frames decode");
+        frames += 1;
+    });
+    assert_eq!(frames, 51_206);
+    assert_eq!(
+        allocations, 0,
+        "{allocations} allocations over {frames} frames"
+    );
 }

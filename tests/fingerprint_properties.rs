@@ -19,29 +19,25 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
     )
         .prop_map(|(shape, ip_sel, size, port)| {
             let src = MacAddr::new([2, 0, 0, 0, 0, 1]);
-            let dst = MacAddr::new([2, 0, 0, 0, 0, 2]);
             let dst_ip = std::net::Ipv4Addr::new(10, 0, ip_sel as u8, 1);
-            let src_ip = std::net::Ipv4Addr::new(192, 168, 1, 50);
-            let builder = Packet::builder(src, dst).wire_len(size);
+            let builder = Packet::builder(src).wire_len(size);
             match shape {
-                0 => builder
-                    .arp(1, std::net::Ipv4Addr::UNSPECIFIED, dst_ip)
-                    .build(),
+                0 => builder.arp().build(),
                 1 => builder
-                    .ipv4(src_ip, dst_ip)
+                    .ipv4(dst_ip)
                     .udp(Port::new(port.max(1)), Port::DNS)
-                    .dns(false, 1)
+                    .dns()
                     .build(),
                 2 => builder
-                    .ipv4(src_ip, dst_ip)
-                    .tcp(Port::new(port.max(1)), Port::HTTPS, Default::default())
-                    .tls(22)
+                    .ipv4(dst_ip)
+                    .tcp(Port::new(port.max(1)), Port::HTTPS)
+                    .tls()
                     .build(),
-                3 => builder.eapol(2, 1).build(),
+                3 => builder.eapol().build(),
                 _ => builder
-                    .ipv4(src_ip, dst_ip)
+                    .ipv4(dst_ip)
                     .udp(Port::new(port.max(1)), Port::new(20560))
-                    .opaque(size / 2)
+                    .opaque()
                     .build(),
             }
         })
@@ -144,10 +140,9 @@ fn empty_sequence_yields_empty_fingerprint() {
 #[test]
 fn single_packet_fingerprint() {
     let src = MacAddr::new([2, 0, 0, 0, 0, 1]);
-    let dst = MacAddr::new([2, 0, 0, 0, 0, 2]);
-    let pkt = Packet::builder(src, dst)
+    let pkt = Packet::builder(src)
         .udp(Port::new(50000), Port::DNS)
-        .dns(false, 1)
+        .dns()
         .build();
     let fp = FingerprintExtractor::extract_from(&[pkt]);
     assert_eq!(fp.len(), 1);
