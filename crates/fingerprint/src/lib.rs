@@ -28,6 +28,8 @@
 //! use sentinel_net::{MacAddr, SimTime};
 //! use sentinel_net::wire::decode_frame;
 //!
+//! // Each frame decodes in place into a `Copy` packet record, which the
+//! // extractor reduces to the 23 features of Table I.
 //! let mac = MacAddr::new([2, 0, 0, 0, 0, 1]);
 //! let mut extractor = FingerprintExtractor::new();
 //! for (i, frame) in [

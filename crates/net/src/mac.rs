@@ -105,10 +105,8 @@ impl FromStr for MacAddr {
         let sep = if s.contains(':') { ':' } else { '-' };
         let count = s.split(sep).count();
         if count != 6 {
-            return Err(WireError::invalid_field(
-                "mac address octet count",
-                count as u32,
-            ));
+            let count = u32::try_from(count).unwrap_or(u32::MAX);
+            return Err(WireError::invalid_field("mac address octet count", count));
         }
         let mut octets = [0u8; 6];
         for (i, (octet, part)) in octets.iter_mut().zip(s.split(sep)).enumerate() {

@@ -196,15 +196,11 @@ pub(crate) fn is_message(msg: &[u8]) -> bool {
 fn message_end(msg: &[u8]) -> Option<usize> {
     let be16 = |at: usize| Some(u16::from_be_bytes([*msg.get(at)?, *msg.get(at + 1)?]));
     let (questions, answers) = (be16(4)?, be16(6)?);
+    // Every read is bounds-checked; an offset that overshoots fails the
+    // next read or the final length check.
     let mut at = 12;
-    if msg.len() < at {
-        return None;
-    }
     for _ in 0..questions {
         at = name_end(msg, at)? + 4; // type, class
-    }
-    if msg.len() < at {
-        return None;
     }
     for _ in 0..answers {
         at = name_end(msg, at)? + 10; // type, class, ttl, rdata length
