@@ -185,22 +185,6 @@ pub fn bootp_request(src: MacAddr, xid: u32) -> Vec<u8> {
     dhcp_broadcast(src, &DhcpMessage::bootp_request(src, xid))
 }
 
-/// DHCPINFORM from an already-addressed device.
-pub fn dhcp_inform(src: MacAddr, xid: u32, ciaddr: Ipv4Addr) -> Vec<u8> {
-    let msg = DhcpMessage::inform(src, xid, ciaddr);
-    let mut payload = Vec::new();
-    msg.encode(&mut payload);
-    udp_ipv4(
-        src,
-        MacAddr::BROADCAST,
-        ciaddr,
-        Ipv4Addr::BROADCAST,
-        Port::DHCP_CLIENT,
-        Port::DHCP_SERVER,
-        payload,
-    )
-}
-
 /// DHCPOFFER or DHCPACK from the gateway to a device.
 pub fn dhcp_server_reply(
     gateway_mac: MacAddr,
@@ -696,7 +680,6 @@ mod tests {
             ("dhcp_discover", dhcp_discover(mac(1), 1, "dev")),
             ("dhcp_request", dhcp_request(mac(1), 1, DEV, GW, "dev")),
             ("bootp_request", bootp_request(mac(1), 1)),
-            ("dhcp_inform", dhcp_inform(mac(1), 1, DEV)),
             (
                 "dhcp_ack",
                 dhcp_server_reply(mac(0), mac(1), DhcpMessageType::Ack, 1, DEV, GW),

@@ -148,21 +148,6 @@ impl DhcpMessage {
         }
     }
 
-    /// A client DHCPINFORM from an already-configured address.
-    pub fn inform(chaddr: MacAddr, xid: u32, ciaddr: Ipv4Addr) -> Self {
-        DhcpMessage {
-            op: 1,
-            xid,
-            secs: 0,
-            broadcast: false,
-            ciaddr,
-            yiaddr: Ipv4Addr::UNSPECIFIED,
-            siaddr: Ipv4Addr::UNSPECIFIED,
-            chaddr,
-            options: vec![DhcpOption::MessageType(DhcpMessageType::Inform)],
-        }
-    }
-
     /// A plain BOOTP request (no DHCP options at all).
     pub fn bootp_request(chaddr: MacAddr, xid: u32) -> Self {
         DhcpMessage {
@@ -312,7 +297,7 @@ mod tests {
 
     #[test]
     fn invalid_message_types_and_bad_ops_are_not_dhcp() {
-        let mut buf = encoded(&DhcpMessage::inform(mac(), 1, Ipv4Addr::LOCALHOST));
+        let mut buf = encoded(&DhcpMessage::discover(mac(), 1, "plug"));
         buf[242] = 9; // option 53 value out of range
         assert_eq!(recognise(&buf), Some(AppProtocol::Bootp));
         buf[0] = 9;
